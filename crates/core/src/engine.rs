@@ -123,10 +123,21 @@ pub struct EngineScratch<E: EpochInt = u64> {
     queued_epoch: Vec<E>,
     /// Reusable symmetric-difference buffer.
     diff_buf: Vec<usize>,
+    /// The non-root groups the last cone pass popped, in pop order.
+    cone_buf: Vec<u32>,
+    /// Cone records of this scratch's single-element misses in the
+    /// current batch, merged into the handle's [`ConeMemo`] in slot order
+    /// once the batch is done. Each record's groups and root-child uses
+    /// follow the previous record's in the two flat arenas below.
+    records: Vec<ConeRecord>,
+    rec_cone: Vec<u32>,
+    rec_roots: Vec<(u32, f64)>,
     /// Full evaluations performed through this scratch.
     full_evals: u64,
     /// Incremental (base/overlay) evaluations through this scratch.
     incremental_evals: u64,
+    /// Incremental evaluations answered from the cone memo.
+    cone_reuses: u64,
 }
 
 impl<E: EpochInt> EngineScratch<E> {
@@ -140,8 +151,13 @@ impl<E: EpochInt> EngineScratch<E> {
             dirty: BinaryHeap::new(),
             queued_epoch: vec![E::ZERO; n_groups],
             diff_buf: Vec::new(),
+            cone_buf: Vec::new(),
+            records: Vec::new(),
+            rec_cone: Vec::new(),
+            rec_roots: Vec::new(),
             full_evals: 0,
             incremental_evals: 0,
+            cone_reuses: 0,
         }
     }
 
@@ -166,6 +182,122 @@ impl<E: EpochInt> EngineScratch<E> {
         self.state_epoch.fill(E::ZERO);
         self.queued_epoch.fill(E::ZERO);
         self.epoch = E::ZERO;
+    }
+}
+
+/// One cone recorded by a worker scratch during a batch (see
+/// [`EngineScratch::records`]).
+#[derive(Clone, Copy, Debug)]
+struct ConeRecord {
+    elem: u32,
+    /// End of this record's groups in `rec_cone`.
+    cone_end: u32,
+    /// End of this record's root-child uses in `rec_roots`.
+    roots_end: u32,
+    delta: f64,
+    reached_root: bool,
+}
+
+/// The cached cone pass of one universe element's single-element overlay.
+#[derive(Clone, Debug, Default)]
+struct ConeEntry {
+    /// [`ConeMemo::gen`] when recorded; 0 = never recorded.
+    gen: u64,
+    /// The non-root groups the cone pass popped, in pop order.
+    cone: Vec<u32>,
+    /// The element-sum delta accumulated over `cone`, in pop order.
+    delta: f64,
+    /// Whether the cone reached the batch root.
+    reached_root: bool,
+    /// Overlay `use` of every root-child state the cone stamped.
+    root_uses: Vec<(u32, f64)>,
+}
+
+/// Round-to-round cone memo of one engine handle: per universe element,
+/// the cone pass of its last single-element overlay, reusable until a
+/// commit recomputes one of the cone's groups.
+///
+/// An overlay's cone pass reads only the base values of its own groups,
+/// their base membership, and the base `use` of their children. An
+/// incremental commit ([`BestCostEngine::commit_diff`]) stamps every group
+/// it pops with a new generation, and a child whose `use` changed always
+/// queues — and so stamps — its parents. So while no cone group carries a
+/// stamp newer than the entry, every value the cone read is unchanged,
+/// the cone's heap order is unchanged, and replaying only the root pass
+/// reproduces the fresh overlay bit for bit. A full-solve rebase moves the
+/// base without stamping, so it retires every entry at once.
+#[derive(Debug)]
+struct ConeMemo {
+    /// Generation of the latest incremental commit.
+    gen: u64,
+    /// Entries recorded before this generation are dead.
+    floor: u64,
+    /// Per dense group: the generation of the last commit that popped it.
+    /// Empty until the first record, like `entries`.
+    group_gen: Vec<u64>,
+    /// Per universe element: its last recorded cone.
+    entries: Vec<ConeEntry>,
+}
+
+impl ConeMemo {
+    /// An empty memo; its arenas are sized on the first record, so a
+    /// handle that never runs a batch pays nothing for it.
+    fn new() -> Self {
+        ConeMemo {
+            gen: 1,
+            floor: 1,
+            group_gen: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// The entry of element `e`, if one was recorded and no later commit
+    /// touched its cone.
+    fn valid(&self, e: usize) -> Option<&ConeEntry> {
+        let entry = self.entries.get(e)?;
+        let fresh = entry.gen >= self.floor
+            && entry
+                .cone
+                .iter()
+                .all(|&d| self.group_gen[d as usize] <= entry.gen);
+        fresh.then_some(entry)
+    }
+
+    /// Retires every entry (the base moved by a full solve).
+    fn invalidate_all(&mut self) {
+        self.gen += 1;
+        self.floor = self.gen;
+    }
+
+    /// Moves a scratch's batch records into the memo, in record order.
+    fn absorb<E: EpochInt>(&mut self, scratch: &mut EngineScratch<E>, n_groups: usize, u: usize) {
+        if scratch.records.is_empty() {
+            return;
+        }
+        if self.entries.is_empty() {
+            self.entries.resize_with(u, ConeEntry::default);
+            self.group_gen.resize(n_groups, 0);
+        }
+        let (mut cone_start, mut roots_start) = (0, 0);
+        for r in &scratch.records {
+            let (cone_end, roots_end) = (r.cone_end as usize, r.roots_end as usize);
+            let entry = &mut self.entries[r.elem as usize];
+            entry.gen = self.gen;
+            entry.cone.clear();
+            entry
+                .cone
+                .extend_from_slice(&scratch.rec_cone[cone_start..cone_end]);
+            entry.delta = r.delta;
+            entry.reached_root = r.reached_root;
+            entry.root_uses.clear();
+            entry
+                .root_uses
+                .extend_from_slice(&scratch.rec_roots[roots_start..roots_end]);
+            (cone_start, roots_start) = (cone_end, roots_end);
+        }
+        scratch.records.clear();
+        scratch.rec_cone.clear();
+        scratch.rec_roots.clear();
     }
 }
 
@@ -379,6 +511,9 @@ pub struct BestCostEngine {
     /// [`Self::bc_many`], reused across rounds instead of cloning the
     /// first candidate every round.
     shared_buf: BitSet,
+    /// Round-to-round cone memo of [`Self::bc_many`]'s single-element
+    /// candidates.
+    cones: ConeMemo,
     /// Universe epoch of the batch state this engine was compiled against
     /// (0 for engines compiled outside an evolvable batch). Memoized
     /// oracle layers key their caches on it so a universe resize across an
@@ -444,7 +579,7 @@ impl BestCostEngine {
     /// copies, no DP solve), with a zeroed scratch. This is how snapshot
     /// readers ([`EngineState::engine`]) spin up engines without
     /// recompiling — and what the serve bench reports as snapshot-clone
-    /// cost.
+    /// cost. The cone memo starts empty and is sized on first use.
     pub fn from_arenas(arenas: Arc<EngineArenas>, config: MqoConfig) -> Self {
         let n_states = arenas.n_states();
         let n_groups = arenas.topo.len();
@@ -457,6 +592,7 @@ impl BestCostEngine {
             scratch: EngineScratch::new(n_states, n_groups),
             worker_scratches: Vec::new(),
             shared_buf: BitSet::empty(u),
+            cones: ConeMemo::new(),
             universe_epoch: 0,
             config,
             arenas,
@@ -730,6 +866,13 @@ impl EngineArenas {
         }
 
         let root = topo.dense(root);
+        // The overlay walk leaves the root to a separate pass
+        // (`overlay_eval_with`), which is exact only for a sink that
+        // carries no element term.
+        assert!(
+            topo.parents(root as usize).is_empty() && elem_of_dense[root as usize] == u32::MAX,
+            "the engine root must have no parents and not be shareable"
+        );
         let state_order: Vec<SortOrder> = orders.iter().flatten().cloned().collect();
         let rows: Vec<f64> = topo.order().iter().map(|&g| memo.props(g).rows).collect();
         let mut arenas = EngineArenas {
@@ -1014,10 +1157,14 @@ impl EngineArenas {
 }
 
 impl BestCostEngine {
-    /// `(full, incremental)` evaluation counts. Batched candidates evaluated
-    /// through [`Self::bc_many`] count as incremental; the per-batch rebase
-    /// counts as one full evaluation. Sharded batches fold each worker's
-    /// counts back into these totals.
+    /// `(full, incremental)` evaluation counts. `full` counts bottom-up
+    /// solves: `force_full` answers, candidates past the rebase threshold,
+    /// and full-solve rebases. A rebase within the threshold — the
+    /// per-round commit of a greedy run — is committed incrementally and
+    /// counts as neither. `incremental` counts every answer served off the
+    /// committed base: the base itself, overlays, and cone-memo reuses
+    /// ([`Self::cone_reuses`]). Sharded batches fold each worker's counts
+    /// back into these totals.
     pub fn eval_counts(&self) -> (u64, u64) {
         (self.scratch.full_evals, self.scratch.incremental_evals)
     }
@@ -1066,7 +1213,9 @@ impl BestCostEngine {
     /// the sharded path, where the base is shared immutably across worker
     /// threads. A candidate past the rebase threshold is answered by a
     /// full (uncommitted) solve into the worker's scratch: same value as
-    /// the serial threshold-rebase, different bookkeeping.
+    /// the serial threshold-rebase, different bookkeeping. A candidate one
+    /// element off the base goes through the cone memo
+    /// ([`Self::cone_eval`]).
     fn bc_from_base<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
         let threshold = self.config.rebase_threshold;
         let dist = set.symmetric_difference_len_capped(&self.base_set, threshold);
@@ -1080,6 +1229,10 @@ impl BestCostEngine {
         }
         self.load_diff(scratch, set);
         scratch.incremental_evals += 1;
+        if dist == 1 {
+            let elem = scratch.diff_buf[0];
+            return self.cone_eval(scratch, set, elem);
+        }
         self.overlay_eval_with(scratch, set)
     }
 
@@ -1101,6 +1254,17 @@ impl BestCostEngine {
     /// the work distribution differs. (The single-set [`Self::bc`] entry
     /// point still commits a rebase on far sets and drifts with its
     /// caller's query sequence.)
+    ///
+    /// **Round-to-round cone reuse.** A candidate one element `e` off the
+    /// base is answered from the handle's cone memo when the last
+    /// commits left `e`'s recorded dirty cone untouched: only the root
+    /// pass is replayed, bit-identical to a fresh overlay (see
+    /// [`Self::cone_reuses`]). Every candidate is classified against the
+    /// memo as it stood when the batch began, and the batch's fresh cones
+    /// are recorded after it in slot order, so memo state, values and
+    /// reuse counts are identical at every thread count. Since the base
+    /// is the batch intersection, a one-element diff is always an
+    /// addition; removal-shaped sets (`X∖{e}`) never reach the memo.
     pub fn bc_many(&mut self, sets: &[BitSet]) -> Vec<f64> {
         // See `bc`: injected oracle faults fire here on the caller thread.
         crate::fault::hit(crate::fault::FaultSite::OracleEval);
@@ -1145,10 +1309,25 @@ impl BestCostEngine {
                 .iter()
                 .map(|s| self.bc_from_base(&mut scratch, s))
                 .collect();
+            self.absorb_cones(&mut scratch);
             self.scratch = scratch;
             return out;
         }
         self.bc_many_sharded(&sets, workers)
+    }
+
+    /// Moves a scratch's recorded cones into the handle's memo.
+    fn absorb_cones(&mut self, scratch: &mut EngineScratch) {
+        let (n_groups, u) = (self.topo.len(), self.universe_size());
+        self.cones.absorb(scratch, n_groups, u);
+    }
+
+    /// Single-element candidates of [`Self::bc_many`] answered from the
+    /// cone memo instead of a fresh overlay (folded from worker scratches
+    /// like [`Self::eval_counts`]). Every reuse is also counted as an
+    /// incremental evaluation.
+    pub fn cone_reuses(&self) -> u64 {
+        self.scratch.cone_reuses
     }
 
     /// The sharded fan-out of [`Self::bc_many`]: contiguous candidate
@@ -1180,11 +1359,16 @@ impl BestCostEngine {
                 });
             }
         });
+        // Workers ran contiguous chunks, so absorbing their records in
+        // worker order is slot order.
         for ws in &mut scratches {
             self.scratch.full_evals += ws.full_evals;
             self.scratch.incremental_evals += ws.incremental_evals;
+            self.scratch.cone_reuses += ws.cone_reuses;
             ws.full_evals = 0;
             ws.incremental_evals = 0;
+            ws.cone_reuses = 0;
+            self.absorb_cones(ws);
         }
         self.worker_scratches = scratches;
         out
@@ -1229,6 +1413,7 @@ impl BestCostEngine {
         self.base_use = use_;
         self.base_set = set.clone();
         self.base_total = self.total_from_slice(set, &self.base_compute);
+        self.cones.invalidate_all();
         scratch.invalidate();
     }
 
@@ -1242,8 +1427,14 @@ impl BestCostEngine {
     /// recompute exactly the value it already holds; a state inside the
     /// cone applies the identical accumulation order over identical child
     /// values.
+    ///
+    /// Every popped group is stamped with a new cone-memo generation,
+    /// which retires the memo entries whose cones it touched.
     fn commit_diff(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
         let epoch = scratch.advance_epoch();
+        self.cones.gen += 1;
+        let gen = self.cones.gen;
+        let mut group_gen = std::mem::take(&mut self.cones.group_gen);
         let mut compute = std::mem::take(&mut self.base_compute);
         let mut use_ = std::mem::take(&mut self.base_use);
         let EngineScratch {
@@ -1261,6 +1452,10 @@ impl BestCostEngine {
         }
         while let Some(Reverse(d)) = dirty.pop() {
             let du = d as usize;
+            // Empty until the memo records its first cone.
+            if let Some(g) = group_gen.get_mut(du) {
+                *g = gen;
+            }
             let s0 = self.state_off[du] as usize;
             let s1 = self.state_off[du + 1] as usize;
             let materialized = self.in_set(du, set);
@@ -1294,6 +1489,7 @@ impl BestCostEngine {
                 }
             }
         }
+        self.cones.group_gen = group_gen;
         self.base_compute = compute;
         self.base_use = use_;
         self.base_set.copy_from(set);
@@ -1327,8 +1523,33 @@ impl BestCostEngine {
     /// a from-scratch full solve's flat sum by design (the differential
     /// suites pin overlay ≡ full to 1e-9 relative, and serial ≡ sharded
     /// bitwise).
+    ///
+    /// The walk is split into a cone pass over every popped group but the
+    /// batch root, then a root pass, with the answer
+    /// `base_total + (δ_cone + δ_root)`. The root has no parents and is
+    /// not shareable (asserted at compile), so it queues nothing and adds
+    /// no element delta, and all its children are popped before it: the
+    /// split is the same arithmetic as one walk — and it is what lets
+    /// [`Self::bc_many`] replay a cached cone pass with only a fresh root
+    /// pass.
     fn overlay_eval_with<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
         let epoch = scratch.advance_epoch();
+        let (delta, reached_root) = self.cone_pass(scratch, set, epoch);
+        self.close_overlay(scratch, epoch, delta, reached_root)
+    }
+
+    /// The cone pass of [`Self::overlay_eval_with`]: seeds the diff
+    /// buffer's groups, recomputes the dirty cone bottom-up into the
+    /// scratch's epoch-stamped arenas, and returns the accumulated `δ_cone`
+    /// plus whether the cone reached the root, which is left to
+    /// [`Self::root_pass`]. The popped non-root groups are left in the
+    /// scratch's cone buffer, in pop order.
+    fn cone_pass<E: EpochInt>(
+        &self,
+        scratch: &mut EngineScratch<E>,
+        set: &BitSet,
+        epoch: E,
+    ) -> (f64, bool) {
         let EngineScratch {
             compute: scratch_compute,
             use_: scratch_use,
@@ -1336,8 +1557,10 @@ impl BestCostEngine {
             dirty,
             queued_epoch,
             diff_buf,
+            cone_buf,
             ..
         } = scratch;
+        cone_buf.clear();
 
         for &e in diff_buf.iter() {
             let d = self.universe_dense[e];
@@ -1349,38 +1572,25 @@ impl BestCostEngine {
         // Dense index == topological position, so the min-heap processes
         // the dirty cone bottom-up; parents always rank above the group
         // being processed, so nothing is ever re-queued after processing.
+        let mut reached_root = false;
         let mut delta = 0.0f64;
         while let Some(Reverse(d)) = dirty.pop() {
+            if d == self.root {
+                reached_root = true;
+                continue;
+            }
+            cone_buf.push(d);
             let du = d as usize;
             let s0 = self.state_off[du] as usize;
-            let s1 = self.state_off[du + 1] as usize;
             let materialized = self.in_set(du, set);
-            let mut changed = false;
-            for s in s0..s1 {
-                let best = self.best_option(s, |c| {
-                    if state_epoch[c] == epoch {
-                        scratch_use[c]
-                    } else {
-                        self.base_use[c]
-                    }
-                });
-                let best = if s > s0 {
-                    best.min(scratch_compute[s0] + self.sort[du])
-                } else {
-                    best
-                };
-                scratch_compute[s] = best;
-                let u = if materialized {
-                    self.read[s].min(best)
-                } else {
-                    best
-                };
-                scratch_use[s] = u;
-                state_epoch[s] = epoch;
-                if u != self.base_use[s] {
-                    changed = true;
-                }
-            }
+            let changed = self.overlay_group(
+                du,
+                materialized,
+                epoch,
+                scratch_compute,
+                scratch_use,
+                state_epoch,
+            );
             // Element-sum correction for this group: a materialized
             // element contributes `compute[s0] + write`; the base total
             // already carries the base-side term whenever the element is
@@ -1405,14 +1615,127 @@ impl BestCostEngine {
                 }
             }
         }
+        (delta, reached_root)
+    }
 
-        // Root correction: the base total's leading term is the root
-        // compute, which shifts only if the cone reached the root.
-        let root_s = self.state_off[self.root as usize] as usize;
-        if state_epoch[root_s] == epoch {
-            delta += scratch_compute[root_s] - self.base_compute[root_s];
+    /// Recomputes every state of group `du` from the live overlay (stamped
+    /// children) over the base, stamping the results; returns whether any
+    /// state's `use` differs from its base value.
+    #[inline]
+    fn overlay_group<E: EpochInt>(
+        &self,
+        du: usize,
+        materialized: bool,
+        epoch: E,
+        scratch_compute: &mut [f64],
+        scratch_use: &mut [f64],
+        state_epoch: &mut [E],
+    ) -> bool {
+        let s0 = self.state_off[du] as usize;
+        let s1 = self.state_off[du + 1] as usize;
+        let mut changed = false;
+        for s in s0..s1 {
+            let best = self.best_option(s, |c| {
+                if state_epoch[c] == epoch {
+                    scratch_use[c]
+                } else {
+                    self.base_use[c]
+                }
+            });
+            let best = if s > s0 {
+                best.min(scratch_compute[s0] + self.sort[du])
+            } else {
+                best
+            };
+            scratch_compute[s] = best;
+            let u = if materialized {
+                self.read[s].min(best)
+            } else {
+                best
+            };
+            scratch_use[s] = u;
+            state_epoch[s] = epoch;
+            if u != self.base_use[s] {
+                changed = true;
+            }
         }
-        self.base_total + delta
+        changed
+    }
+
+    /// The root pass: recomputes the batch root from the live overlay and
+    /// returns `δ_root`, the shift of the base total's leading term.
+    fn root_pass<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, epoch: E) -> f64 {
+        let root = self.root as usize;
+        self.overlay_group(
+            root,
+            false,
+            epoch,
+            &mut scratch.compute,
+            &mut scratch.use_,
+            &mut scratch.state_epoch,
+        );
+        let root_s = self.state_off[root] as usize;
+        scratch.compute[root_s] - self.base_compute[root_s]
+    }
+
+    /// `base_total + (δ_cone + δ_root)`, running the root pass if the cone
+    /// reached the root.
+    fn close_overlay<E: EpochInt>(
+        &self,
+        scratch: &mut EngineScratch<E>,
+        epoch: E,
+        delta: f64,
+        reached_root: bool,
+    ) -> f64 {
+        if reached_root {
+            self.base_total + (delta + self.root_pass(scratch, epoch))
+        } else {
+            self.base_total + delta
+        }
+    }
+
+    /// A single-element overlay of [`Self::bc_many`] for element `elem`:
+    /// replayed from the cone memo when the entry is still valid, else
+    /// evaluated fresh and recorded in the scratch for the memo.
+    fn cone_eval<E: EpochInt>(
+        &self,
+        scratch: &mut EngineScratch<E>,
+        set: &BitSet,
+        elem: usize,
+    ) -> f64 {
+        let epoch = scratch.advance_epoch();
+        if let Some(entry) = self.cones.valid(elem) {
+            scratch.cone_reuses += 1;
+            // Re-stamp the root-child states the cone pass left live, so
+            // the root pass reads exactly the values it read then.
+            for &(s, u) in &entry.root_uses {
+                scratch.use_[s as usize] = u;
+                scratch.state_epoch[s as usize] = epoch;
+            }
+            return self.close_overlay(scratch, epoch, entry.delta, entry.reached_root);
+        }
+        let (delta, reached_root) = self.cone_pass(scratch, set, epoch);
+        scratch.rec_cone.extend_from_slice(&scratch.cone_buf);
+        if reached_root {
+            let root = self.root as usize;
+            let states = self.state_off[root] as usize..self.state_off[root + 1] as usize;
+            for o in self.opt_off[states.start] as usize..self.opt_off[states.end] as usize {
+                let children = self.child_off[o] as usize..self.child_off[o + 1] as usize;
+                for &c in &self.opt_children[children] {
+                    if scratch.state_epoch[c as usize] == epoch {
+                        scratch.rec_roots.push((c, scratch.use_[c as usize]));
+                    }
+                }
+            }
+        }
+        scratch.records.push(ConeRecord {
+            elem: elem as u32,
+            cone_end: scratch.rec_cone.len() as u32,
+            roots_end: scratch.rec_roots.len() as u32,
+            delta,
+            reached_root,
+        });
+        self.close_overlay(scratch, epoch, delta, reached_root)
     }
 }
 
@@ -2261,6 +2584,146 @@ mod tests {
         assert_eq!(cached.n_states(), fresh.n_states());
         let empty = BitSet::empty(0);
         assert_eq!(cached.bc(&empty), fresh.bc(&empty));
+    }
+
+    /// A round of single-element candidates `base ∪ {e}` over every `e`
+    /// outside `base`.
+    fn round(base: &BitSet) -> Vec<BitSet> {
+        (0..base.universe())
+            .filter(|&e| !base.contains(e))
+            .map(|e| base.with(e))
+            .collect()
+    }
+
+    /// `bc_many` of `sets` on a cold handle over the same arenas, committed
+    /// to `base` first.
+    fn cold_bc_many(engine: &BestCostEngine, base: &BitSet, sets: &[BitSet]) -> Vec<f64> {
+        let mut cold = BestCostEngine::from_arenas(Arc::clone(engine.arenas()), engine.config);
+        cold.rebase(base);
+        cold.bc_many(sets)
+    }
+
+    /// TPCD BQ4: a universe large enough for multi-candidate rounds.
+    fn bq4() -> BatchDag {
+        let w = mqo_tpcd::batched(4, 1.0);
+        BatchDag::build(w.ctx, &w.queries, &RuleSet::default())
+    }
+
+    fn serial_engine(batch: &BatchDag, rebase_threshold: usize) -> BestCostEngine {
+        let cm = DiskCostModel::paper();
+        let config = MqoConfig {
+            rebase_threshold,
+            ..MqoConfig::serial()
+        };
+        BestCostEngine::with_config(batch.memo(), &cm, batch.root(), batch.shareable(), config)
+    }
+
+    #[test]
+    fn fresh_handles_start_with_an_empty_lazy_cone_memo() {
+        let batch = bq4();
+        let engine = serial_engine(&batch, 4);
+        let mut handle = BestCostEngine::from_arenas(Arc::clone(engine.arenas()), engine.config);
+        assert_eq!(handle.cones.entries.capacity(), 0);
+        assert_eq!(handle.cones.group_gen.capacity(), 0);
+        assert_eq!(handle.cone_reuses(), 0);
+        // A single-set evaluation and a commit leave it unsized too.
+        let n = handle.universe_size();
+        handle.bc(&BitSet::from_iter(n, [0]));
+        handle.rebase(&BitSet::from_iter(n, [1]));
+        assert_eq!(handle.cones.entries.capacity(), 0);
+        // The first batch sizes it to the universe and the dense groups.
+        handle.bc_many(&round(&BitSet::from_iter(n, [1])));
+        assert_eq!(handle.cones.entries.len(), n);
+        assert_eq!(handle.cones.group_gen.len(), handle.topo.len());
+    }
+
+    #[test]
+    fn full_solve_rebase_drops_every_cone_entry() {
+        let batch = bq4();
+        let mut engine = serial_engine(&batch, 1);
+        let n = engine.universe_size();
+        assert!(n >= 4, "fixture universe too small: {n}");
+        let empty = BitSet::empty(n);
+        engine.bc_many(&round(&empty));
+        assert!((0..n).all(|e| engine.cones.valid(e).is_some()));
+        // Two elements away from the base: past the threshold of 1, so the
+        // commit is a full solve, which moves the base without stamping.
+        let far = BitSet::from_iter(n, [0, 1]);
+        let (full_before, _) = engine.eval_counts();
+        engine.rebase(&far);
+        assert_eq!(engine.eval_counts().0, full_before + 1);
+        assert!((0..n).all(|e| engine.cones.valid(e).is_none()));
+        // The next round re-records from scratch and stays exact.
+        let reuses = engine.cone_reuses();
+        let sets = round(&far);
+        let warm = engine.bc_many(&sets);
+        assert_eq!(engine.cone_reuses(), reuses);
+        assert_eq!(warm, cold_bc_many(&engine, &far, &sets));
+    }
+
+    #[test]
+    fn a_flipped_element_is_never_served_from_the_memo() {
+        let batch = bq4();
+        let mut engine = serial_engine(&batch, 4);
+        let n = engine.universe_size();
+        let empty = BitSet::empty(n);
+        let first = engine.bc_many(&round(&empty));
+        for p in 0..n {
+            assert!(engine.cones.valid(p).is_some());
+            // Commit p (an incremental commit): its own group is popped,
+            // so its entry is retired however the values moved.
+            let with_p = BitSet::from_iter(n, [p]);
+            engine.rebase(&with_p);
+            assert!(engine.cones.valid(p).is_none(), "element {p} added");
+            let sets = round(&with_p);
+            assert_eq!(engine.bc_many(&sets), cold_bc_many(&engine, &with_p, &sets));
+            // And back: p's membership flips again.
+            engine.rebase(&empty);
+            assert!(engine.cones.valid(p).is_none(), "element {p} removed");
+            let again = engine.bc_many(&round(&empty));
+            assert_eq!(again, first, "round at ∅ after dropping {p}");
+        }
+        assert!(engine.cone_reuses() > 0);
+    }
+
+    #[test]
+    fn removal_shaped_batches_never_reach_the_cone_memo() {
+        // `bc_many` rebases to the batch intersection, so every candidate
+        // is a superset of the base and a one-element diff is always an
+        // addition. The top-of-lattice shape `U∖{e}` therefore never
+        // records or reuses a cone: excluded by construction.
+        let batch = bq4();
+        let mut engine = serial_engine(&batch, 4);
+        let mut full = BestCostEngine::with_config(
+            batch.memo(),
+            &DiskCostModel::paper(),
+            batch.root(),
+            batch.shareable(),
+            MqoConfig {
+                force_full: true,
+                ..MqoConfig::serial()
+            },
+        );
+        let n = engine.universe_size();
+        assert!(n >= 3, "fixture universe too small: {n}");
+        let all = BitSet::full(n);
+        engine.rebase(&all);
+        let tops: Vec<BitSet> = (0..n)
+            .map(|e| {
+                let mut s = all.clone();
+                s.remove(e);
+                s
+            })
+            .collect();
+        for _ in 0..2 {
+            let vals = engine.bc_many(&tops);
+            for (s, &v) in tops.iter().zip(&vals) {
+                let expect = full.bc(s);
+                assert!((v - expect).abs() < 1e-9 * (1.0 + expect.abs()));
+            }
+        }
+        assert_eq!(engine.cone_reuses(), 0);
+        assert!(engine.cones.entries.is_empty(), "no cone was recorded");
     }
 
     #[test]

@@ -81,7 +81,7 @@ use mqo_volcano::PlanNode;
 
 use crate::batch::{BatchSavepoint, QueryTicket};
 use crate::config::MqoConfig;
-use crate::engine::EngineState;
+use crate::engine::{BestCostEngine, EngineState};
 use crate::error::{MqoError, PlanValidator};
 use crate::fault::{self, FaultSite};
 use crate::session::OptimizedBatch;
@@ -754,23 +754,9 @@ impl MqoService {
         }
 
         let elems: Vec<usize> = cache.iter().map(|c| elem_of_fp[&c.fingerprint]).collect();
-        let mut set = BitSet::empty(state.universe_size());
-        for &e in &elems {
-            set.insert(e);
-        }
-        let mut engine = state.engine(self.mqo_config);
-        let full = engine.bc(&set);
-        let leave_one_out: Vec<BitSet> = elems
-            .iter()
-            .map(|&e| {
-                let mut s = set.clone();
-                s.remove(e);
-                s
-            })
-            .collect();
-        let without = engine.bc_many(&leave_one_out);
-        for (entry, w) in cache.iter_mut().zip(&without) {
-            entry.score = w - full;
+        let scores = leave_one_out_scores(&mut state.engine(self.mqo_config), &elems);
+        for (entry, score) in cache.iter_mut().zip(scores) {
+            entry.score = score;
         }
         cache.retain(|e| e.score > 0.0);
         cache.sort_by(|a, b| {
@@ -782,6 +768,76 @@ impl MqoService {
         self.counters
             .evictions
             .fetch_add((candidates - cache.len()) as u64, Ordering::Relaxed);
+    }
+}
+
+/// The leave-one-out benefit `bc(C∖{e}) − bc(C)` of every element `e` of
+/// `C = elems`. `C` is committed once and each `C∖{e}` is a distance-1
+/// overlay off it. (Batching the sets through `bc_many` would rebase to
+/// their shared intersection ∅ and full-solve every set past the rebase
+/// threshold.)
+fn leave_one_out_scores(engine: &mut BestCostEngine, elems: &[usize]) -> Vec<f64> {
+    let set = BitSet::from_iter(engine.universe_size(), elems.iter().copied());
+    engine.rebase(&set);
+    let full = engine.bc(&set);
+    let mut without = set;
+    elems
+        .iter()
+        .map(|&e| {
+            without.remove(e);
+            let score = engine.bc(&without) - full;
+            without.insert(e);
+            score
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::Session;
+    use mqo_volcano::cost::DiskCostModel;
+
+    /// Cache scoring on ≥ 6 entries (where batching the leave-one-out sets
+    /// used to full-solve each one) matches a `force_full` recomputation.
+    #[test]
+    fn leave_one_out_scores_match_force_full() {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let batch = Session::builder()
+            .context(w.ctx)
+            .queries(w.queries)
+            .cost_model(DiskCostModel::paper())
+            .threads(1)
+            .build();
+        let state = batch.snapshot();
+        let n = state.universe_size();
+        assert!(n >= 8, "BQ4 must offer at least 8 candidates, has {n}");
+        let elems: Vec<usize> = (0..n).step_by(n / 8).take(8).collect();
+        let config = MqoConfig::serial();
+        let mut engine = state.engine(config);
+        let scores = leave_one_out_scores(&mut engine, &elems);
+        assert_eq!(
+            engine.eval_counts(),
+            (1, elems.len() as u64 + 1),
+            "one full solve commits C; every score is an overlay off it"
+        );
+
+        let mut full = state.engine(MqoConfig {
+            force_full: true,
+            ..config
+        });
+        let set = BitSet::from_iter(n, elems.iter().copied());
+        let bc_set = full.bc(&set);
+        assert_eq!(scores.len(), elems.len());
+        for (&e, &score) in elems.iter().zip(&scores) {
+            let mut without = set.clone();
+            without.remove(e);
+            let expect = full.bc(&without) - bc_set;
+            assert!(
+                (score - expect).abs() < 1e-9 * (1.0 + bc_set.abs()),
+                "element {e}: score {score} vs force_full {expect}"
+            );
+        }
     }
 }
 

@@ -1,7 +1,9 @@
 //! Differential sweeps for the sharded `bestCost` oracle on TPCD BQ4:
 //! sharded `bc_many` must be **bit-identical** to the serial path at every
 //! thread count and rebase threshold, and both must agree with the
-//! full-recomputation ablation to `1e-9` relative. (The root-level
+//! full-recomputation ablation to `1e-9` relative. A warm handle whose
+//! cone memo carries across greedy rounds must equal a cold handle
+//! committed to the same base, bitwise. (The root-level
 //! `tests/engine_differential.rs` covers the serial incremental/batched
 //! paths; this sweep pins the parallel fan-out.)
 
@@ -181,4 +183,81 @@ fn greedy_replay_is_bit_identical_across_thread_counts() {
         inc > 0,
         "round-shaped candidates must take the sharded incremental path"
     );
+}
+
+/// A seeded chain instance from the workload generator with a few hundred
+/// candidates.
+fn chain_instance() -> BatchDag {
+    let w = mqo_tpcd::generate(&mqo_tpcd::WorkloadSpec {
+        queries: 40,
+        span: (4, 7),
+        ..mqo_tpcd::WorkloadSpec::smoke(mqo_tpcd::Shape::Chain, 11)
+    });
+    BatchDag::build(w.ctx, &w.queries, &RuleSet::default())
+}
+
+/// Replays greedy rounds on one warm handle, whose cone memo carries
+/// across rounds, and pins every round's values bitwise to a cold handle
+/// committed to the same base. Every third round first moves the warm
+/// base far away (a full-solve rebase) and evaluates a far set, so the
+/// next round must not serve a cone recorded before the jump. Returns the
+/// per-round values and the handle's cone-reuse count.
+fn warm_vs_cold_replay(batch: &BatchDag, threads: usize, rounds: usize) -> (Vec<Vec<f64>>, u64) {
+    let state = batch.compile_state(&DiskCostModel::paper());
+    let config = MqoConfig {
+        threads,
+        ..Default::default()
+    };
+    let n = state.universe_size();
+    let mut warm = state.engine(config);
+    let mut base = BitSet::empty(n);
+    let mut history = Vec::new();
+    for round in 0..rounds.min(n) {
+        if round % 3 == 2 {
+            let far = BitSet::from_iter(n, (0..n).filter(|e| e % 2 == round % 2));
+            assert!(far.symmetric_difference_len(&base) > config.rebase_threshold);
+            warm.rebase(&far);
+            warm.bc(&BitSet::from_iter(n, (0..n).filter(|e| e % 3 == 0)));
+        }
+        warm.rebase(&base);
+        let candidates: Vec<BitSet> = (0..n)
+            .filter(|&e| !base.contains(e))
+            .map(|e| base.with(e))
+            .collect();
+        let values = warm.bc_many(&candidates);
+        let mut cold = state.engine(config);
+        cold.rebase(&base);
+        assert_eq!(
+            values,
+            cold.bc_many(&candidates),
+            "threads {threads}, round {round}: warm handle must equal a cold one bitwise"
+        );
+        let pick = values
+            .iter()
+            .enumerate()
+            .min_by(|(_, x), (_, y)| x.total_cmp(y))
+            .map(|(i, _)| i)
+            .unwrap();
+        base = candidates[pick].clone();
+        history.push(values);
+    }
+    (history, warm.cone_reuses())
+}
+
+/// Warm ≡ cold bitwise on BQ4 and a generated chain instance, with cone
+/// reuse actually exercised and identical at threads 1 and 4.
+#[test]
+fn warm_cone_memo_is_bit_identical_to_cold_handles() {
+    for (name, batch) in [("bq4", bq4()), ("chain", chain_instance())] {
+        let n = batch.universe_size();
+        assert!(n >= 40, "{name}: universe too small ({n})");
+        let (serial, serial_reuses) = warm_vs_cold_replay(&batch, 1, 12);
+        let (sharded, sharded_reuses) = warm_vs_cold_replay(&batch, 4, 12);
+        assert!(serial_reuses > 0, "{name}: the cone memo was never used");
+        assert_eq!(serial, sharded, "{name}: values differ across threads");
+        assert_eq!(
+            serial_reuses, sharded_reuses,
+            "{name}: cone reuse differs across threads"
+        );
+    }
 }

@@ -7,7 +7,9 @@
 #   2. full test suite (unit + integration + doc-tests, warning-free),
 #      run twice: MQO_THREADS=1 (serial oracle + expansion) and
 #      MQO_THREADS=4 (sharded bc_many + parallel expansion) — results
-#      must be identical by construction
+#      must be identical by construction (the serve-stress and
+#      fault-injection suites run here, with the debug-build serve
+#      lock-order detector live inside them)
 #   3. all remaining targets: examples, benches, experiment binaries
 #   4. clippy (all targets, warnings are errors), rustfmt --check, and
 #      rustdoc with -D warnings (broken intra-doc links on the Session
@@ -17,10 +19,7 @@
 #      hashmap-iter-determinism, banned-api, forbid-unsafe-attr) and any
 #      finding fails the gate — this subsumes the old grep checks for
 #      poisoning lock sites and removed free functions
-#   6. fault-tolerance gate: the seeded fault-injection suite runs by
-#      name under both thread settings (in debug builds the serve-layer
-#      lock-order detector is live inside it)
-#   7. one smoke iteration of each bench target via the in-repo harness
+#   6. one smoke iteration of each bench target via the in-repo harness
 #
 # `scripts/verify.sh --bench-smoke` skips 1-5 and runs only the bench
 # smoke, additionally recording the bc_oracle, memo_expand, opt_time
@@ -134,34 +133,15 @@ cargo build --release --offline
 
 # The two full-suite runs below are what executes the differential
 # suites (engine_differential, memo_differential,
-# plan_extraction_differential) under both thread settings — parallel ≡
-# serial bit-identity and arena ≡ PlanTable plan-extraction equivalence
-# are pinned on every run.
+# plan_extraction_differential), serve_stress and fault_injection under
+# both thread settings — parallel ≡ serial bit-identity, arena ≡
+# PlanTable plan-extraction equivalence, concurrent-service ≡ fresh-build
+# equivalence and fault containment are pinned on every run.
 echo "==> cargo test -q --offline (MQO_THREADS=1: serial oracle + expansion, incl. differential suites)"
 MQO_THREADS=1 cargo test -q --offline
 
 echo "==> cargo test -q --offline (MQO_THREADS=4: sharded bc_many + parallel expansion, incl. differential suites)"
 MQO_THREADS=4 cargo test -q --offline
-
-# The serving-layer stress suite runs inside the full suites above, but
-# the concurrency gate is re-run here by name so a filtered or partial
-# test invocation can never silently skip it: concurrent
-# submit/retire/read interleavings must stay bit-identical to fresh
-# single-threaded builds of the surviving queries, under both engine
-# thread settings.
-echo "==> serve stress (concurrent service differential, MQO_THREADS=1)"
-MQO_THREADS=1 cargo test -q --offline -p mqo-core --test serve_stress
-echo "==> serve stress (concurrent service differential, MQO_THREADS=4)"
-MQO_THREADS=4 cargo test -q --offline -p mqo-core --test serve_stress
-
-# Likewise the fault-injection suite (seeded failpoints: oracle panics,
-# admission-precommit panics, writer-lock poisoning, deadline budgets) is
-# re-run by name under both engine thread settings: a service that
-# survives chaos at MQO_THREADS=1 but wedges at 4 must fail the gate.
-echo "==> fault injection (seeded failpoints, MQO_THREADS=1)"
-MQO_THREADS=1 cargo test -q --offline -p mqo-core --test fault_injection
-echo "==> fault injection (seeded failpoints, MQO_THREADS=4)"
-MQO_THREADS=4 cargo test -q --offline -p mqo-core --test fault_injection
 
 echo "==> cargo build --all-targets --offline (examples, benches, bins)"
 cargo build --all-targets --offline
