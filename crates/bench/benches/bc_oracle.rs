@@ -1,5 +1,3 @@
-// mqo-lint: allow-file(wall-clock) -- measurement code: raw Instant reads are this file's
-// entire purpose; optimization decisions never depend on them.
 //! Microbenchmark of the `bestCost` oracle itself: raw `bc(S)` evaluation
 //! throughput (evals/sec) on the TPCD 4-query batch, comparing
 //!
@@ -18,40 +16,17 @@
 //! remaining candidate `x`. All modes see the identical schedule, so
 //! evals/sec is directly comparable.
 //!
-//! Set `MQO_BENCH_JSON=<path>` to additionally record the results as a JSON
-//! baseline (`scripts/verify.sh --bench-smoke` writes
-//! `BENCH_bc_oracle.json` at the repo root this way).
+//! Records through `mqo_bench::timing`: one pass of the schedule is one
+//! sample, `MQO_BENCH_SAMPLES` sets the sample count and
+//! `MQO_BENCH_JSON=<path>` writes the record (`scripts/verify.sh
+//! --bench-smoke` writes `BENCH_bc_oracle.json`).
 
-use std::time::Instant;
-
+use mqo_bench::timing::{measure, Record};
 use mqo_core::batch::BatchDag;
 use mqo_core::engine::{BestCostEngine, MqoConfig};
 use mqo_submod::bitset::BitSet;
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::rules::RuleSet;
-
-/// One measured mode.
-struct ModeResult {
-    mode: &'static str,
-    /// Worker threads (sharded modes only; 0 elsewhere).
-    threads: usize,
-    evals: u64,
-    secs: f64,
-}
-
-impl ModeResult {
-    fn evals_per_sec(&self) -> f64 {
-        self.evals as f64 / self.secs.max(1e-12)
-    }
-
-    fn label(&self) -> String {
-        if self.threads > 0 {
-            format!("{}@{}", self.mode, self.threads)
-        } else {
-            self.mode.to_string()
-        }
-    }
-}
 
 /// The greedy-round evaluation schedule: for each round, the base set and
 /// the candidate elements probed on top of it.
@@ -69,31 +44,25 @@ fn schedule(n: usize) -> Vec<(BitSet, Vec<usize>)> {
     rounds
 }
 
-fn run_sequential(engine: &mut BestCostEngine, rounds: &[(BitSet, Vec<usize>)]) -> u64 {
-    let mut evals = 0u64;
+/// One pass of the schedule, one `bc` call per probe.
+fn run_sequential(engine: &mut BestCostEngine, rounds: &[(BitSet, Vec<usize>)]) -> f64 {
     let mut acc = 0.0f64;
     for (base, candidates) in rounds {
         for &e in candidates {
             acc += engine.bc(&base.with(e));
-            evals += 1;
         }
     }
-    std::hint::black_box(acc);
-    evals
+    acc
 }
 
-fn run_batched(engine: &mut BestCostEngine, rounds: &[(BitSet, Vec<usize>)]) -> u64 {
-    let mut evals = 0u64;
+/// One pass of the schedule, one `bc_many` call per round.
+fn run_batched(engine: &mut BestCostEngine, rounds: &[(BitSet, Vec<usize>)]) -> f64 {
     let mut acc = 0.0f64;
     for (base, candidates) in rounds {
         let sets: Vec<BitSet> = candidates.iter().map(|&e| base.with(e)).collect();
-        for v in engine.bc_many(&sets) {
-            acc += v;
-            evals += 1;
-        }
+        acc += engine.bc_many(&sets).iter().sum::<f64>();
     }
-    std::hint::black_box(acc);
-    evals
+    acc
 }
 
 fn main() {
@@ -102,25 +71,18 @@ fn main() {
     let cm = DiskCostModel::paper();
     let n = batch.universe_size();
     let rounds = schedule(n);
-    let total_evals: u64 = rounds.iter().map(|(_, c)| c.len() as u64).sum();
+    let evals: usize = rounds.iter().map(|(_, c)| c.len()).sum();
     println!(
-        "bc_oracle: TPCD BQ4, universe {n}, {} rounds, {} evals per pass",
-        rounds.len(),
-        total_evals
+        "bc_oracle: TPCD BQ4, universe {n}, {} rounds, {evals} evals per pass",
+        rounds.len()
     );
 
-    let samples: usize = std::env::var("MQO_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(5);
-
-    // (mode, threads); threads > 0 selects the sharded bc_many fan-out.
+    let mut rec = Record::new("bc_oracle");
+    // (mode, threads); only the sharded mode varies the worker count.
     let mut modes: Vec<(&'static str, usize)> =
-        vec![("full", 0), ("incremental", 0), ("batched", 0)];
+        vec![("full", 1), ("incremental", 1), ("batched", 1)];
     modes.extend([1usize, 2, 4, 8].map(|t| ("sharded", t)));
-
-    let mut results: Vec<ModeResult> = Vec::new();
+    let mut medians = Vec::new();
     for (mode, threads) in modes {
         let mut engine = BestCostEngine::with_config(
             batch.memo(),
@@ -129,82 +91,36 @@ fn main() {
             batch.shareable(),
             MqoConfig {
                 force_full: mode == "full",
-                threads: threads.max(1),
+                threads,
                 ..Default::default()
             },
         );
         let batched = mode != "full" && mode != "incremental";
-        // Warmup pass (grows scratch buffers to steady state).
-        match batched {
-            true => run_batched(&mut engine, &rounds),
-            false => run_sequential(&mut engine, &rounds),
-        };
-        let mut best_secs = f64::INFINITY;
-        let mut evals = 0u64;
-        for _ in 0..samples {
-            let t0 = Instant::now();
-            evals = match batched {
+        let stats = rec.sample(|| {
+            let (acc, elapsed) = measure(|| match batched {
                 true => run_batched(&mut engine, &rounds),
                 false => run_sequential(&mut engine, &rounds),
-            };
-            best_secs = best_secs.min(t0.elapsed().as_secs_f64());
-        }
-        let r = ModeResult {
-            mode,
+            });
+            std::hint::black_box(acc);
+            elapsed
+        });
+        rec.push(
+            &[("mode", mode), ("workload", "BQ4")],
+            &[("universe", n), ("evals", evals)],
             threads,
-            evals,
-            secs: best_secs,
-        };
-        println!(
-            "bc_oracle/{}/BQ4: {:.0} evals/sec ({} evals in {:.3} ms, best of {samples})",
-            r.label(),
-            r.evals_per_sec(),
-            r.evals,
-            r.secs * 1e3
+            stats,
         );
-        results.push(r);
+        medians.push((mode, threads, stats.median.as_secs_f64()));
     }
 
-    let full = results[0].evals_per_sec();
-    let inc = results[1].evals_per_sec();
-    let bat = results[2].evals_per_sec();
-    println!(
-        "bc_oracle/speedup: incremental {:.1}x, batched {:.1}x over full",
-        inc / full,
-        bat / full
-    );
-    let sharded_base = results
-        .iter()
-        .find(|r| r.mode == "sharded" && r.threads == 1)
-        .map(|r| r.evals_per_sec())
-        .unwrap_or(bat);
-    for r in results.iter().filter(|r| r.mode == "sharded") {
+    let per_sec = |secs: f64| evals as f64 / secs.max(1e-12);
+    let full = medians[0].2;
+    for &(mode, threads, secs) in &medians {
         println!(
-            "bc_oracle/sharded@{}: {:.2}x over sharded@1",
-            r.threads,
-            r.evals_per_sec() / sharded_base
+            "bc_oracle/{mode}@{threads}: {:.0} evals/sec, {:.2}x over full",
+            per_sec(secs),
+            full / secs.max(1e-12)
         );
     }
-
-    if let Ok(path) = std::env::var("MQO_BENCH_JSON") {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"mode\": \"{}\", \"threads\": {}, \"evals\": {}, \"secs\": {:.6}, \"evals_per_sec\": {:.1}}}",
-                    r.mode,
-                    r.threads,
-                    r.evals,
-                    r.secs,
-                    r.evals_per_sec()
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"bc_oracle\",\n  \"workload\": \"BQ4\",\n  \"universe\": {n},\n  \"samples\": {samples},\n  \"results\": [\n{}\n  ]\n}}\n",
-            entries.join(",\n")
-        );
-        std::fs::write(&path, json).expect("write MQO_BENCH_JSON baseline");
-        println!("bc_oracle: baseline written to {path}");
-    }
+    rec.finish();
 }

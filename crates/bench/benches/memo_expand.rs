@@ -1,9 +1,7 @@
-// mqo-lint: allow-file(wall-clock) -- measurement code: raw Instant reads are this file's
-// entire purpose; optimization decisions never depend on them.
 //! Benchmark of the memo-expansion pipeline: end-to-end `BatchDag::build`
 //! wall time (query insertion + rule fixpoint + shareable-universe scan)
-//! and raw expansion throughput (live expressions produced per second) on
-//! the TPCD batched workloads.
+//! on the TPCD batched workloads. Each entry also records the live
+//! expressions and groups produced, so throughput is `exprs / median`.
 //!
 //! Series:
 //!
@@ -13,120 +11,49 @@
 //!   so the resulting memo is bit-identical at every `t`; see
 //!   `crates/volcano/tests/memo_differential.rs`).
 //!
-//! Set `MQO_BENCH_JSON=<path>` to record the results as a JSON baseline
-//! (`scripts/verify.sh --bench-smoke` writes `BENCH_memo_expand.json` at
-//! the repo root this way). Every entry carries a `threads` field —
-//! `verify.sh` refuses baselines without one.
+//! Records through `mqo_bench::timing`: `MQO_BENCH_SAMPLES` sets the
+//! sample count and `MQO_BENCH_JSON=<path>` writes the record
+//! (`scripts/verify.sh --bench-smoke` writes `BENCH_memo_expand.json`).
 
-use std::time::Instant;
-
+use mqo_bench::timing::{measure, Record};
 use mqo_core::batch::BatchDag;
 use mqo_volcano::rules::RuleSet;
 
-struct SeriesResult {
-    workload: String,
-    threads: usize,
-    /// Live expressions in the expanded memo (throughput denominator).
-    exprs: usize,
-    groups: usize,
-    secs: f64,
-}
-
-impl SeriesResult {
-    fn expansions_per_sec(&self) -> f64 {
-        self.exprs as f64 / self.secs.max(1e-12)
-    }
-}
-
-fn run_series(i: usize, threads: usize, samples: usize) -> SeriesResult {
-    // The context is consumed by `build`, so each sample re-creates the
-    // workload outside the timed section.
-    let mut best_secs = f64::INFINITY;
-    let mut exprs = 0usize;
-    let mut groups = 0usize;
-    // One untimed warmup build.
-    let w = mqo_tpcd::batched(i, 1.0);
-    std::hint::black_box(BatchDag::build_with_threads(
-        w.ctx,
-        &w.queries,
-        &RuleSet::default(),
-        threads,
-    ));
-    for _ in 0..samples {
-        let w = mqo_tpcd::batched(i, 1.0);
-        let t0 = Instant::now();
-        let batch = BatchDag::build_with_threads(w.ctx, &w.queries, &RuleSet::default(), threads);
-        best_secs = best_secs.min(t0.elapsed().as_secs_f64());
-        exprs = batch.expansion().exprs;
-        groups = batch.expansion().groups;
-        std::hint::black_box(batch);
-    }
-    SeriesResult {
-        workload: format!("BQ{i}"),
-        threads,
-        exprs,
-        groups,
-        secs: best_secs,
-    }
-}
-
 fn main() {
-    let samples: usize = std::env::var("MQO_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&s| s >= 1)
-        .unwrap_or(5);
-
-    let mut results: Vec<SeriesResult> = Vec::new();
+    let mut rec = Record::new("memo_expand");
+    let mut bq4 = Vec::new();
     for i in [3usize, 4] {
+        let w = mqo_tpcd::batched(i, 1.0);
+        let batch = BatchDag::build(w.ctx, &w.queries, &RuleSet::default());
+        let (exprs, groups) = (batch.expansion().exprs, batch.expansion().groups);
+        let workload = format!("BQ{i}");
         for threads in [1usize, 2, 4] {
-            let r = run_series(i, threads, samples);
-            println!(
-                "memo_expand/build@{}/{}: {:.3} ms ({} exprs, {} groups, {:.0} expansions/sec, best of {samples})",
-                r.threads,
-                r.workload,
-                r.secs * 1e3,
-                r.exprs,
-                r.groups,
-                r.expansions_per_sec()
+            // The context is consumed by `build`, so each sample re-creates
+            // the workload outside the timed section.
+            let stats = rec.sample(|| {
+                let w = mqo_tpcd::batched(i, 1.0);
+                measure(|| {
+                    BatchDag::build_with_threads(w.ctx, &w.queries, &RuleSet::default(), threads)
+                })
+                .1
+            });
+            rec.push(
+                &[("mode", "build"), ("workload", &workload)],
+                &[("exprs", exprs), ("groups", groups)],
+                threads,
+                stats,
             );
-            results.push(r);
+            if i == 4 {
+                bq4.push((threads, stats.median.as_secs_f64()));
+            }
         }
     }
-
-    if let Some(base) = results
-        .iter()
-        .find(|r| r.workload == "BQ4" && r.threads == 1)
-    {
-        for r in results.iter().filter(|r| r.workload == "BQ4") {
-            println!(
-                "memo_expand/build@{}: {:.2}x over build@1 on BQ4",
-                r.threads,
-                base.secs / r.secs.max(1e-12)
-            );
-        }
-    }
-
-    if let Ok(path) = std::env::var("MQO_BENCH_JSON") {
-        let entries: Vec<String> = results
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"mode\": \"build\", \"workload\": \"{}\", \"threads\": {}, \"exprs\": {}, \"groups\": {}, \"secs\": {:.6}, \"expansions_per_sec\": {:.1}}}",
-                    r.workload,
-                    r.threads,
-                    r.exprs,
-                    r.groups,
-                    r.secs,
-                    r.expansions_per_sec()
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\n  \"bench\": \"memo_expand\",\n  \"samples\": {samples},\n  \"results\": [\n{}\n  ]\n}}\n",
-            entries.join(",\n")
+    let base = bq4[0].1;
+    for (threads, secs) in bq4 {
+        println!(
+            "memo_expand/build@{threads}: {:.2}x over build@1 on BQ4",
+            base / secs.max(1e-12)
         );
-        std::fs::write(&path, json).expect("write MQO_BENCH_JSON baseline");
-        println!("memo_expand: baseline written to {path}");
     }
+    rec.finish();
 }

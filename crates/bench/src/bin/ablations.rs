@@ -1,5 +1,3 @@
-// mqo-lint: allow-file(wall-clock) -- measurement code: raw Instant reads are this file's
-// entire purpose; optimization decisions never depend on them.
 //! Ablations of the design choices called out in DESIGN.md.
 //!
 //! 1. **Lazy vs eager** (Section 5.2): identical answers, fewer candidate
@@ -17,8 +15,7 @@
 //!    thresholds; the default of 4 balances overlay size against full
 //!    recomputations.
 
-use std::time::Instant;
-
+use mqo_bench::timing::measure;
 use mqo_core::batch::BatchDag;
 use mqo_core::benefit::MbFunction;
 use mqo_core::engine::{BestCostEngine, MqoConfig};
@@ -85,9 +82,9 @@ fn main() {
             let mb = MbFunction::new(engine);
             let n = mb.universe();
             let d = mb.canonical_decomposition();
-            let t0 = Instant::now();
-            let out = marginal_greedy(&mb, &d, &BitSet::full(n), Config::default());
-            times.push(t0.elapsed());
+            let (out, elapsed) =
+                measure(|| marginal_greedy(&mb, &d, &BitSet::full(n), Config::default()));
+            times.push(elapsed);
             costs.push(out.value);
         }
         assert!((costs[0] - costs[1]).abs() < 1e-6);
@@ -107,14 +104,13 @@ fn main() {
             .queries(w.queries)
             .cost_model(cm)
             .build();
-        let with = session.run(Strategy::CardinalityMarginalGreedy {
-            k,
-            reduce_universe: true,
-        });
-        let without = session.run(Strategy::CardinalityMarginalGreedy {
-            k,
-            reduce_universe: false,
-        });
+        let capped = |universe_reduction| MqoConfig {
+            max_materializations: Some(k),
+            universe_reduction,
+            ..session.config()
+        };
+        let with = session.run_with(Strategy::MarginalGreedy, capped(true));
+        let without = session.run_with(Strategy::MarginalGreedy, capped(false));
         assert_eq!(with.materialized, without.materialized);
         println!(
             "BQ4, k={k}: cost {:.0} with reduction == {:.0} without (Theorem 4 verified)",
@@ -181,9 +177,7 @@ fn main() {
                 threads: 1,
                 ..Default::default()
             };
-            let t0 = Instant::now();
-            let r = session.run_with(Strategy::Greedy, config);
-            let dt = t0.elapsed();
+            let (r, dt) = measure(|| session.run_with(Strategy::Greedy, config));
             assert!((r.total_cost - reference.total_cost).abs() < 1e-6);
             assert_eq!(r.materialized, reference.materialized);
             let label = if threshold == usize::MAX {

@@ -1,100 +1,57 @@
-//! A tiny zero-dependency timing harness for the `harness = false` bench
-//! targets.
+//! The timing layer of the paper-figure bench targets (`opt_time`,
+//! `bc_oracle`, `memo_expand`) and the `ablations` bin: the workspace's
+//! only bench-side wall-clock reads, and the one writer of their
+//! `BENCH_*.json` records.
 //!
-//! The build environment is offline, so the workspace cannot pull in
-//! criterion; this module provides the subset the benches need: named
-//! groups, per-benchmark warmup, N timed samples, and a median report.
-//! Bench IDs keep criterion's `group/function/parameter` shape so existing
-//! tooling that greps bench output keeps working.
+//! The build is offline, so the workspace cannot pull in criterion. A
+//! bench opens a [`Record`], times each series with [`Record::sample`]
+//! (one untimed warmup call, then `n` timed ones), and pushes the
+//! resulting [`Stats`]. Every entry prints one line and, when
+//! `MQO_BENCH_JSON=<path>` is set, lands in a JSON record at `path` with
+//! its sample count `n`, its spread (`min`, `median`, `max`, in seconds),
+//! the engine's `threads` and the machine's `cores`
+//! ([`std::thread::available_parallelism`]).
 //!
-//! Environment knobs:
-//!
-//! * `MQO_BENCH_SAMPLES` — timed samples per benchmark (default 5; the
-//!   reported figure is their median). Set to 1 for a smoke run.
-//! * `MQO_BENCH_WARMUP` — warmup iterations per benchmark (default 1;
-//!   0 is honored, timing the cold first iteration).
+//! `MQO_BENCH_SAMPLES` sets `n` (default 5; values below 1 or
+//! unparsable fall back to the default). Set it to 1 for a smoke run.
 
 use std::time::{Duration, Instant};
 
-/// Re-export of [`std::hint::black_box`] for benchmark bodies.
-pub use std::hint::black_box;
-
-fn env_usize(name: &str, default: usize, min: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= min)
-        .unwrap_or(default)
+/// Runs `f` once and returns its result with the wall-clock it took.
+pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Duration) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed())
 }
 
-/// A named group of benchmarks, the criterion `benchmark_group`
-/// equivalent.
-pub struct BenchGroup {
-    name: String,
-    samples: usize,
-    warmup: usize,
+/// The spread of one series' samples.
+#[derive(Clone, Copy, Debug)]
+pub struct Stats {
+    /// Number of timed samples.
+    pub n: usize,
+    /// Fastest sample.
+    pub min: Duration,
+    /// Median sample (the upper median for even `n`).
+    pub median: Duration,
+    /// Slowest sample.
+    pub max: Duration,
 }
 
-impl BenchGroup {
-    /// Creates a group; sample and warmup counts come from the
-    /// `MQO_BENCH_SAMPLES` / `MQO_BENCH_WARMUP` environment variables.
-    pub fn new(name: impl Into<String>) -> Self {
-        BenchGroup {
-            name: name.into(),
-            // At least one sample (a median needs data); warmup may be 0
-            // to time the cold first iteration.
-            samples: env_usize("MQO_BENCH_SAMPLES", 5, 1),
-            warmup: env_usize("MQO_BENCH_WARMUP", 1, 0),
+impl Stats {
+    /// Summarizes a non-empty set of samples.
+    pub fn of(mut samples: Vec<Duration>) -> Self {
+        assert!(!samples.is_empty(), "a series needs at least one sample");
+        samples.sort_unstable();
+        Stats {
+            n: samples.len(),
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
         }
     }
-
-    /// Sets the number of timed samples (criterion's `sample_size`).
-    /// `MQO_BENCH_SAMPLES`, when set to a valid count, wins — so smoke
-    /// runs can force 1 sample everywhere regardless of per-group tuning.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.samples = env_usize("MQO_BENCH_SAMPLES", n.max(1), 1);
-        self
-    }
-
-    /// Times `f` (warmup, then the configured number of samples) and
-    /// prints the median under `group/id`. Each sample is one call of `f`;
-    /// the return value is routed through [`black_box`] so the work is not
-    /// optimized away.
-    pub fn bench<R>(&mut self, id: impl std::fmt::Display, mut f: impl FnMut() -> R) {
-        for _ in 0..self.warmup {
-            black_box(f());
-        }
-        let mut times: Vec<Duration> = (0..self.samples)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(f());
-                start.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        let median = times[times.len() / 2];
-        println!(
-            "{}/{id}: median {} over {} sample(s)  [min {}, max {}]",
-            self.name,
-            fmt_duration(median),
-            times.len(),
-            fmt_duration(times[0]),
-            fmt_duration(times[times.len() - 1]),
-        );
-    }
-
-    /// Ends the group (prints a separating blank line, mirroring
-    /// criterion's `finish`).
-    pub fn finish(self) {
-        println!();
-    }
 }
 
-/// Formats a criterion-style `function/parameter` bench ID.
-pub fn bench_id(function: impl std::fmt::Display, parameter: impl std::fmt::Display) -> String {
-    format!("{function}/{parameter}")
-}
-
+/// Formats a duration with a unit that keeps three significant decimals.
 fn fmt_duration(d: Duration) -> String {
     let s = d.as_secs_f64();
     if s >= 1.0 {
@@ -106,6 +63,97 @@ fn fmt_duration(d: Duration) -> String {
     }
 }
 
+/// One bench target's record: its series, printed as they are pushed and
+/// written to `MQO_BENCH_JSON` by [`Record::finish`].
+pub struct Record {
+    bench: &'static str,
+    samples: usize,
+    cores: usize,
+    entries: Vec<String>,
+}
+
+impl Record {
+    /// Opens the record of bench `bench`; the sample count comes from
+    /// `MQO_BENCH_SAMPLES`.
+    pub fn new(bench: &'static str) -> Self {
+        Record {
+            bench,
+            samples: std::env::var("MQO_BENCH_SAMPLES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .filter(|&n| n >= 1)
+                .unwrap_or(5),
+            cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Calls `f` once untimed, then `n` times, and summarizes the spans
+    /// the timed calls return. Each call reports its own span, so a body
+    /// can keep setup out of it (with [`measure`]) or hand back a time
+    /// the library measured itself, such as `RunReport::opt_time`.
+    pub fn sample(&self, mut f: impl FnMut() -> Duration) -> Stats {
+        f();
+        Stats::of((0..self.samples).map(|_| f()).collect())
+    }
+
+    /// Adds one series. `labels` name it (`("mode", "extract")`, ...),
+    /// `counts` carry its deterministic sizes (`("evals", 6105)`, ...)
+    /// and `threads` is the engine's worker count.
+    pub fn push(
+        &mut self,
+        labels: &[(&str, &str)],
+        counts: &[(&str, usize)],
+        threads: usize,
+        stats: Stats,
+    ) {
+        let id: Vec<&str> = labels.iter().map(|&(_, v)| v).collect();
+        let sizes: String = counts.iter().map(|(k, v)| format!(" {k}={v}")).collect();
+        println!(
+            "{}/{}@{threads}: median {} [min {}, max {}] over {}{sizes}",
+            self.bench,
+            id.join("/"),
+            fmt_duration(stats.median),
+            fmt_duration(stats.min),
+            fmt_duration(stats.max),
+            stats.n,
+        );
+        let mut fields: Vec<String> = labels
+            .iter()
+            .map(|(k, v)| format!("\"{k}\": \"{v}\""))
+            .collect();
+        fields.extend(counts.iter().map(|(k, v)| format!("\"{k}\": {v}")));
+        fields.push(format!("\"threads\": {threads}"));
+        fields.push(format!("\"cores\": {}", self.cores));
+        fields.push(format!("\"n\": {}", stats.n));
+        for (k, d) in [
+            ("min", stats.min),
+            ("median", stats.median),
+            ("max", stats.max),
+        ] {
+            fields.push(format!("\"{k}\": {:.9}", d.as_secs_f64()));
+        }
+        self.entries.push(format!("    {{{}}}", fields.join(", ")));
+    }
+
+    /// The JSON text of the record.
+    fn json(&self) -> String {
+        format!(
+            "{{\n  \"bench\": \"{}\",\n  \"unit\": \"s\",\n  \"results\": [\n{}\n  ]\n}}\n",
+            self.bench,
+            self.entries.join(",\n")
+        )
+    }
+
+    /// Writes the record to `MQO_BENCH_JSON` when it is set.
+    pub fn finish(self) {
+        if let Ok(path) = std::env::var("MQO_BENCH_JSON") {
+            std::fs::write(&path, self.json()).expect("write MQO_BENCH_JSON record");
+            println!("{}: record written to {path}", self.bench);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,19 +161,38 @@ mod tests {
     #[test]
     fn bench_runs_at_least_once_and_reports() {
         let mut calls = 0usize;
-        let mut g = BenchGroup::new("timing_smoke");
-        g.sample_size(2);
-        g.bench(bench_id("count", 1), || {
+        let mut rec = Record::new("timing_smoke");
+        let stats = rec.sample(|| {
             calls += 1;
-            calls
+            Duration::from_micros(calls as u64)
         });
-        g.finish();
-        // warmup (>= 1) + samples (>= 1)
+        // warmup + at least one sample
         assert!(calls >= 2, "{calls}");
+        assert_eq!(stats.n, calls - 1);
+        rec.push(&[("mode", "count")], &[("calls", calls)], 1, stats);
+        let json = rec.json();
+        for field in [
+            "\"mode\": \"count\"",
+            "\"threads\": 1",
+            "\"cores\": ",
+            "\"n\": ",
+            "\"median\": ",
+        ] {
+            assert!(json.contains(field), "{field} missing from {json}");
+        }
     }
 
     #[test]
-    fn id_has_criterion_shape() {
-        assert_eq!(bench_id("eager", 32), "eager/32");
+    fn stats_spread_is_ordered() {
+        let s = Stats::of([3, 1, 2].map(Duration::from_millis).to_vec());
+        assert_eq!(s.n, 3);
+        assert_eq!(
+            (s.min, s.median, s.max),
+            (
+                Duration::from_millis(1),
+                Duration::from_millis(2),
+                Duration::from_millis(3)
+            )
+        );
     }
 }

@@ -13,7 +13,7 @@ use mqo_submod::bitset::BitSet;
 use mqo_submod::decompose::Decomposition;
 use mqo_submod::function::SetFunction;
 
-use crate::engine::{BestCostEngine, MqoConfig};
+use crate::engine::BestCostEngine;
 
 /// `mb(S) = bc(∅) − bc(S)` with oracle-call counting.
 pub struct MbFunction {
@@ -78,23 +78,6 @@ impl MbFunction {
     /// from base).
     pub fn rebase(&self, set: &BitSet) {
         self.engine.borrow_mut().rebase(set);
-    }
-
-    /// Toggles the full-recomputation ablation switch.
-    pub fn set_force_full(&self, force: bool) {
-        self.engine.borrow_mut().config.force_full = force;
-    }
-
-    /// Sets the worker-thread count for sharded batched evaluation
-    /// ([`crate::engine::MqoConfig::threads`]): `1` serial, `0` auto.
-    /// Values are bit-identical at every setting.
-    pub fn set_threads(&self, threads: usize) {
-        self.engine.borrow_mut().config.threads = threads;
-    }
-
-    /// Replaces the engine's evaluation configuration.
-    pub fn set_config(&self, config: MqoConfig) {
-        self.engine.borrow_mut().config = config;
     }
 
     /// The canonical decomposition of Proposition 1 for this function

@@ -578,8 +578,9 @@ impl BestCostEngine {
     /// committed base starts at the stored `S = ∅` solution (two array
     /// copies, no DP solve), with a zeroed scratch. This is how snapshot
     /// readers ([`EngineState::engine`]) spin up engines without
-    /// recompiling — and what the serve bench reports as snapshot-clone
-    /// cost. The cone memo starts empty and is sized on first use.
+    /// recompiling — part of every snapshot read, so part of
+    /// `mqobench`'s `serve.read_run_ms` span. The cone memo starts empty
+    /// and is sized on first use.
     pub fn from_arenas(arenas: Arc<EngineArenas>, config: MqoConfig) -> Self {
         let n_states = arenas.n_states();
         let n_groups = arenas.topo.len();

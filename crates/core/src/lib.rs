@@ -14,8 +14,10 @@
 //!    canonical decomposition of Proposition 1.
 //! 4. [`strategies`] — stand-alone Volcano, Greedy (Algorithm 1),
 //!    MarginalGreedy (Algorithm 2), their lazy accelerations, the
-//!    materialize-everything baseline, and the Section 5.3
-//!    cardinality-constrained variant.
+//!    materialize-everything baseline; the Section 5.3
+//!    cardinality-constrained variant is MarginalGreedy under
+//!    [`MqoConfig::max_materializations`] (plus
+//!    [`MqoConfig::universe_reduction`] for the Theorem 4 pre-pass).
 //! 5. [`consolidated::ConsolidatedPlan`] — the extracted physical artifact
 //!    (materialization productions + per-query plans).
 //! 6. [`serve::MqoService`] — the concurrent serving layer: a single

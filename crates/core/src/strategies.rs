@@ -11,7 +11,7 @@
 
 use std::time::{Duration, Instant};
 
-use mqo_submod::algorithms::cardinality::{cardinality_marginal_greedy, universe_reduction};
+use mqo_submod::algorithms::cardinality::universe_reduction;
 use mqo_submod::algorithms::greedy::{self as greedy_mod, Config as GreedyConfig};
 use mqo_submod::algorithms::lazy::lazy_marginal_greedy;
 use mqo_submod::algorithms::marginal_greedy::{marginal_greedy, Config as MarginalConfig};
@@ -44,9 +44,6 @@ pub enum Strategy {
     /// Materialize every shareable node (the heuristic of Silva et al.
     /// \[26]; "horribly inefficient" when costs outweigh benefits).
     MaterializeAll,
-    /// MarginalGreedy under a cardinality constraint (Section 5.3), with or
-    /// without the Theorem 4 universe reduction.
-    CardinalityMarginalGreedy { k: usize, reduce_universe: bool },
     /// MarginalGreedy followed by a removal cleanup pass — an *extension*
     /// beyond the paper that quantifies how far the workload's benefit
     /// function deviates from the submodularity assumption (a no-op when
@@ -69,7 +66,6 @@ impl Strategy {
             Strategy::MarginalGreedy => "MarginalGreedy",
             Strategy::LazyMarginalGreedy => "LazyMarginalGreedy",
             Strategy::MaterializeAll => "MaterializeAll",
-            Strategy::CardinalityMarginalGreedy { .. } => "CardinalityMarginalGreedy",
             Strategy::MarginalGreedyCleanup => "MarginalGreedy+Cleanup",
             Strategy::Exhaustive => "Exhaustive",
         }
@@ -140,10 +136,10 @@ pub struct RunReport {
     /// pre-pass is off, pruned nothing, or does not apply to the strategy.
     pub candidates: usize,
     /// Certified optimality gap of the greedy run (the four greedy
-    /// strategies only; `None` for Volcano, MaterializeAll, the
-    /// cardinality/cleanup variants, and Exhaustive). Always present for
-    /// those strategies, not just truncated runs — a converged run simply
-    /// certifies a tight (often `1.0`-ish) ratio.
+    /// strategies only; `None` for Volcano, MaterializeAll, the cleanup
+    /// variant, and Exhaustive). Always present for those strategies, not
+    /// just truncated runs — a converged run simply certifies a tight
+    /// (often `1.0`-ish) ratio.
     pub gap_certificate: Option<GapCertificate>,
 }
 
@@ -263,11 +259,6 @@ pub(crate) fn run_strategy(
             keep(lazy_marginal_greedy(&mb, &decomp, &cands, marginal_cfg))
         }
         Strategy::MaterializeAll => full.clone(),
-        Strategy::CardinalityMarginalGreedy { k, reduce_universe } => {
-            let decomp = decomposition_for(&mb, &config);
-            let reduce = reduce_universe || config.universe_reduction;
-            cardinality_marginal_greedy(&mb, &decomp, &full, k, reduce).set
-        }
         Strategy::MarginalGreedyCleanup => {
             let decomp = decomposition_for(&mb, &config);
             let cands = reduced_candidates(&mb, &decomp, &full, &config);
@@ -464,15 +455,16 @@ mod tests {
     #[test]
     fn cardinality_constraint_limits_materializations() {
         let s = session();
-        let r = s.run(Strategy::CardinalityMarginalGreedy {
-            k: 1,
-            reduce_universe: false,
-        });
+        // Section 5.3: MarginalGreedy stopped after k picks, with or
+        // without the Theorem 4 pre-pass.
+        let capped = |universe_reduction| MqoConfig {
+            max_materializations: Some(1),
+            universe_reduction,
+            ..s.config()
+        };
+        let r = s.run_with(Strategy::MarginalGreedy, capped(false));
         assert!(r.materialized.len() <= 1);
-        let pruned = s.run(Strategy::CardinalityMarginalGreedy {
-            k: 1,
-            reduce_universe: true,
-        });
+        let pruned = s.run_with(Strategy::MarginalGreedy, capped(true));
         assert_eq!(r.materialized, pruned.materialized, "Theorem 4");
     }
 }

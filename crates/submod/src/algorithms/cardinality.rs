@@ -1,8 +1,9 @@
-//! Cardinality-constrained selection (Section 5.3) and the Theorem 4
-//! universe reduction.
+//! The Theorem 4 universe reduction for cardinality-constrained selection
+//! (Section 5.3).
 //!
 //! A storage budget may cap the number of materialized nodes at `k`. The
-//! paper adapts MarginalGreedy by simply stopping after `k` picks, and gives
+//! paper adapts MarginalGreedy by simply stopping after `k` picks
+//! ([`super::marginal_greedy::Config::max_picks`]), and gives
 //! a *pruning* preprocessing step (Theorem 4): order the elements by
 //! `f'_M(e, U\{e})/c(e)` descending and keep only
 //! `U' = { e : f_M({e})/c(e) ≥ f'_M(e_k, U\{e_k})/c(e_k) }`.
@@ -32,9 +33,6 @@ impl Ord for Tot {
         self.0.total_cmp(&other.0)
     }
 }
-
-use super::marginal_greedy::{marginal_greedy, Config};
-use super::{Outcome, Pick};
 
 /// The result of the Theorem 4 universe-reduction preprocessing.
 #[derive(Clone, Debug)]
@@ -191,81 +189,32 @@ pub fn universe_reduction<F: SetFunction>(
     }
 }
 
-/// MarginalGreedy under a cardinality constraint `k`, optionally preceded by
-/// the Theorem 4 universe reduction.
-pub fn cardinality_marginal_greedy<F: SetFunction>(
-    f: &F,
-    decomp: &Decomposition,
-    candidates: &BitSet,
-    k: usize,
-    reduce_universe: bool,
-) -> Outcome {
-    let cfg = Config {
-        max_picks: Some(k),
-        ..Default::default()
-    };
-    if reduce_universe {
-        let reduction = universe_reduction(f, decomp, candidates, k);
-        let mut out = marginal_greedy(f, decomp, &reduction.kept, cfg);
-        out.evaluations += reduction.evaluations;
-        out
-    } else {
-        marginal_greedy(f, decomp, candidates, cfg)
-    }
-}
-
-/// The classic (1 − 1/e) greedy of Nemhauser–Wolsey–Fisher for *monotone*
-/// submodular maximization under a cardinality constraint: pick the largest
-/// marginal until `k` elements are chosen.
-///
-/// Provided as the textbook baseline the paper builds on (\[19]); unlike
-/// Algorithm 1 it does not stop early on non-improving steps (marginals of a
-/// monotone function are never negative anyway).
-pub fn cardinality_greedy_monotone<F: SetFunction>(
-    f: &F,
-    candidates: &BitSet,
-    k: usize,
-) -> Outcome {
-    let n = f.universe();
-    let mut out = Outcome::new(n);
-    let mut value = f.eval(&out.set);
-    out.evaluations += 1;
-    let mut active: Vec<usize> = candidates.iter().collect();
-
-    for _ in 0..k {
-        if active.is_empty() {
-            break;
-        }
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (pos, &e) in active.iter().enumerate() {
-            let gain = f.marginal(e, &out.set);
-            out.evaluations += 1;
-            if best.is_none_or(|(_, be, g)| super::better_score(gain, e, g, be)) {
-                best = Some((pos, e, gain));
-            }
-        }
-        let (pos, e, gain) = best.expect("active is non-empty");
-        out.set.insert(e);
-        value += gain;
-        out.picks.push(Pick {
-            element: e,
-            score: gain,
-            value_after: value,
-        });
-        active.swap_remove(pos);
-    }
-
-    out.value = f.eval(&out.set);
-    out.evaluations += 1;
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::exhaustive::exhaustive_max_k;
-    use crate::instances::coverage::WeightedCoverage;
+    use crate::algorithms::marginal_greedy::{marginal_greedy, Config};
     use crate::instances::random::{random_coverage_minus_cost, CoverageParams};
+
+    /// Section 5.3: MarginalGreedy stopped after `k` picks, run on the
+    /// Theorem 4 reduced universe when `reduce` is set.
+    fn capped_greedy<F: SetFunction>(
+        f: &F,
+        d: &Decomposition,
+        candidates: &BitSet,
+        k: usize,
+        reduce: bool,
+    ) -> BitSet {
+        let kept = if reduce {
+            universe_reduction(f, d, candidates, k).kept
+        } else {
+            candidates.clone()
+        };
+        let cfg = Config {
+            max_picks: Some(k),
+            ..Default::default()
+        };
+        marginal_greedy(f, d, &kept, cfg).set
+    }
 
     #[test]
     fn reduction_is_identity_when_k_equals_n() {
@@ -295,12 +244,9 @@ mod tests {
             let d = Decomposition::canonical(&f);
             let full = BitSet::full(12);
             for k in [1, 2, 4, 6] {
-                let with = cardinality_marginal_greedy(&f, &d, &full, k, true);
-                let without = cardinality_marginal_greedy(&f, &d, &full, k, false);
-                assert_eq!(
-                    with.set, without.set,
-                    "Theorem 4 violated at seed {seed}, k {k}"
-                );
+                let with = capped_greedy(&f, &d, &full, k, true);
+                let without = capped_greedy(&f, &d, &full, k, false);
+                assert_eq!(with, without, "Theorem 4 violated at seed {seed}, k {k}");
             }
         }
     }
@@ -356,40 +302,8 @@ mod tests {
         assert_eq!(r.pruned, 3);
         assert!(r.kept.contains(0) && r.kept.contains(1));
         // And Theorem 4 still holds: same greedy output either way.
-        let with = cardinality_marginal_greedy(&f, &d, &BitSet::full(5), k, true);
-        let without = cardinality_marginal_greedy(&f, &d, &BitSet::full(5), k, false);
-        assert_eq!(with.set, without.set);
-    }
-
-    #[test]
-    fn classic_greedy_achieves_1_minus_1_over_e() {
-        // On pure coverage (monotone), compare to the exhaustive k-optimum.
-        for seed in 0..10 {
-            let f = crate::instances::random::random_coverage(
-                CoverageParams {
-                    n_sets: 10,
-                    n_items: 15,
-                    ..Default::default()
-                },
-                seed,
-            );
-            let k = 3;
-            let out = cardinality_greedy_monotone(&f, &BitSet::full(10), k);
-            let (_, opt) = exhaustive_max_k(&f, &BitSet::full(10), k);
-            let ratio = 1.0 - 1.0 / std::f64::consts::E;
-            assert!(
-                out.value >= ratio * opt - 1e-9,
-                "seed {seed}: {} < (1-1/e)·{opt}",
-                out.value
-            );
-        }
-    }
-
-    #[test]
-    fn classic_greedy_fills_budget_on_monotone() {
-        let f = WeightedCoverage::unweighted(4, vec![vec![0], vec![1], vec![2], vec![3]]);
-        let out = cardinality_greedy_monotone(&f, &BitSet::full(4), 2);
-        assert_eq!(out.set.len(), 2);
-        assert_eq!(out.value, 2.0);
+        let with = capped_greedy(&f, &d, &BitSet::full(5), k, true);
+        let without = capped_greedy(&f, &d, &BitSet::full(5), k, false);
+        assert_eq!(with, without);
     }
 }

@@ -1,10 +1,9 @@
 //! Algorithms for unconstrained normalized submodular maximization and the
 //! cardinality-constrained variant, as described in Sections 3 and 5 of the
-//! paper, plus baselines used in tests and benches.
+//! paper, plus baselines used in tests.
 
 pub mod cardinality;
 pub mod cleanup;
-pub mod double_greedy;
 pub mod exhaustive;
 pub mod greedy;
 pub mod knapsack;

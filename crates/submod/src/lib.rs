@@ -14,10 +14,9 @@
 //! * [`algorithms::lazy`] — the LazyMarginalGreedy acceleration (§5.2).
 //! * [`algorithms::greedy`] — Algorithm 1, the Greedy heuristic of Roy et
 //!   al. \[23], plus its LazyGreedy acceleration.
-//! * [`algorithms::cardinality`] — the §5.3 cardinality-constrained variant
-//!   with the Theorem 4 universe reduction.
-//! * [`algorithms::double_greedy`] — Buchbinder et al.'s 1/2-approximation
-//!   for the non-negative case (baseline).
+//! * [`algorithms::cardinality`] — the Theorem 4 universe reduction for
+//!   the §5.3 cardinality-constrained variant (MarginalGreedy with
+//!   `max_picks`).
 //! * [`bounds`] — the Theorem 1 factor `1 − (c/f)·ln(1 + f/c)`.
 //! * [`instances`] — coverage, Profitted Max Coverage (Problem 1, the
 //!   hardness family of Theorem 2), graph cuts, seeded random generators.

@@ -5,7 +5,7 @@
 //! seeded sweeps: each property draws its inputs from a [`Prng`] seeded per
 //! case, and a failing case panics with the exact seed to reproduce it.
 
-use mqo_submod::algorithms::cardinality::cardinality_marginal_greedy;
+use mqo_submod::algorithms::cardinality::universe_reduction;
 use mqo_submod::algorithms::exhaustive::exhaustive_max;
 use mqo_submod::algorithms::greedy::{greedy, lazy_greedy, Config as GreedyConfig};
 use mqo_submod::algorithms::lazy::lazy_marginal_greedy;
@@ -175,8 +175,13 @@ fn prop_theorem4_reduction_same_answer() {
         let k = rng.gen_range(1usize..=5);
         let d = Decomposition::canonical(&f);
         let full = BitSet::full(n_sets);
-        let with = cardinality_marginal_greedy(&f, &d, &full, k, true);
-        let without = cardinality_marginal_greedy(&f, &d, &full, k, false);
+        let cfg = Config {
+            max_picks: Some(k),
+            ..Default::default()
+        };
+        let kept = universe_reduction(&f, &d, &full, k).kept;
+        let with = marginal_greedy(&f, &d, &kept, cfg);
+        let without = marginal_greedy(&f, &d, &full, cfg);
         assert_eq!(with.set, without.set, "k = {k}");
     });
 }

@@ -3,14 +3,14 @@
 //!
 //! The TPCD batches ([`crate::batches`]) top out at 12 queries and
 //! ~110-element shareable universes; the paper's provable-approximation
-//! claims — and the scale bench — need hundreds of queries and 10k+
-//! materialization candidates. This module generates them over a pool of
-//! `s0..s{tables-1}` tables: every query is first drawn as a recipe
-//! (an ordered table list, an attachment tree, and a selection mask), and
-//! the **overlap knob** reuses or extends earlier recipes, so batches
-//! share whole subplans the way real workloads share subexpressions —
-//! exactly the shapes the many-to-many-joins and GLADE MQO papers
-//! describe.
+//! claims — and `mqobench`'s `batch-10k` workload — need hundreds of
+//! queries and 10k+ materialization candidates. This module generates
+//! them over a pool of `s0..s{tables-1}` tables: every query is first
+//! drawn as a recipe (an ordered table list, an attachment tree, and a
+//! selection mask), and the **overlap knob** reuses or extends earlier
+//! recipes, so batches share whole subplans the way real workloads share
+//! subexpressions — exactly the shapes the many-to-many-joins and GLADE
+//! MQO papers describe.
 //!
 //! Everything is driven by one [`Prng`] seeded from
 //! [`WorkloadSpec::seed`]: the same spec always generates the same

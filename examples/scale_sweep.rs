@@ -4,8 +4,10 @@
 //! (`mqo_tpcd::workloads`), optimizes each with MarginalGreedy, and then
 //! demonstrates the Theorem 4 universe-reduction pre-pass: same plans,
 //! smaller ranked candidate universe. Pass `--big` to run the calibrated
-//! 10k-candidate chain instance the scale bench records (slow in debug
-//! builds; use `--release`).
+//! 10k-candidate chain instance (`WorkloadSpec::scale_10k(7)`, the first
+//! instance of `mqobench`'s `batch-10k` workload at seed 7) and assert
+//! that its universe exceeds 10k candidates (slow in debug builds; use
+//! `--release`).
 //!
 //! Run with `cargo run --release --example scale_sweep [-- --big]`.
 
@@ -34,6 +36,13 @@ fn main() {
             WorkloadSpec::smoke(shape, 7)
         };
         let r = run_spec(&spec, MqoConfig::default());
+        if big && shape == Shape::Chain {
+            assert!(
+                r.universe >= 10_000,
+                "the --big chain must exceed 10k materialization candidates, got {}",
+                r.universe
+            );
+        }
         println!(
             "{:10} {:>7}  {:>8}  {:>6}  {:>12}  {:>10.1}%",
             shape.name(),

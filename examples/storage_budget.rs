@@ -29,14 +29,13 @@ fn main() {
         "k", "cost", "benefit", "used"
     );
     for k in [0usize, 1, 2, 3, 4, 6, 8] {
-        let constrained = session.run(Strategy::CardinalityMarginalGreedy {
-            k,
-            reduce_universe: false,
-        });
-        let pruned = session.run(Strategy::CardinalityMarginalGreedy {
-            k,
-            reduce_universe: true,
-        });
+        let capped = |universe_reduction| MqoConfig {
+            max_materializations: Some(k),
+            universe_reduction,
+            ..session.config()
+        };
+        let constrained = session.run_with(Strategy::MarginalGreedy, capped(false));
+        let pruned = session.run_with(Strategy::MarginalGreedy, capped(true));
         assert_eq!(
             constrained.materialized, pruned.materialized,
             "Theorem 4: universe reduction must not change the answer"

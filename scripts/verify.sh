@@ -20,30 +20,33 @@
 #      finding fails the gate — this subsumes the old grep checks for
 #      poisoning lock sites and removed free functions
 #   6. one smoke iteration of each bench target via the in-repo harness
+#      (`mqo_bench::timing`), plus the `scale_sweep --big` example, which
+#      asserts that the calibrated 10k-candidate instance still exceeds
+#      10k candidates
 #
 # `scripts/verify.sh --bench-smoke` skips 1-5 and runs only the bench
-# smoke, additionally recording the bc_oracle, memo_expand, opt_time
-# (extract series), scale (universe × batch × threads, incl. the
-# 10k-candidate tier), and serve (admission vs rebuild on the concurrent
-# serving layer) throughput baselines (all carrying per-series `threads`
-# fields) to BENCH_*.json at the repo root. Any BENCH_*.json baseline
-# missing a `threads` field fails the run, as does a missing
-# BENCH_scale.json, one without the scale-10k tier, a missing
-# BENCH_serve.json, or a BENCH_serve.json without the degraded_round
-# series and its certified_gap field.
+# smoke, additionally recording the bc_oracle, memo_expand and opt_time
+# series to BENCH_*.json at the repo root. Every entry carries its sample
+# count and spread (`n`, `min`, `median`, `max`), the engine's `threads`
+# and the machine's `cores`; a baseline missing any of them fails the
+# run, as does a BENCH_opt_time.json without the session_evolve series.
+# End-to-end numbers come from the repository benchmark (`mqobench/`,
+# declared in BENCHMARK.json), not from these targets.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 check_bench_baselines() {
-    # Every recorded baseline must carry the `threads` field, so the
-    # serial-vs-parallel provenance of a number is never ambiguous.
-    local f
+    # Every recorded baseline must carry its provenance: sample count,
+    # spread, thread count and core count.
+    local f field
     for f in BENCH_*.json; do
         [[ -e "$f" ]] || continue
-        if ! grep -q '"threads"' "$f"; then
-            echo "ERROR: $f is missing the \"threads\" field" >&2
-            exit 1
-        fi
+        for field in n min median max threads cores; do
+            if ! grep -q "\"$field\"" "$f"; then
+                echo "ERROR: $f is missing the \"$field\" field" >&2
+                exit 1
+            fi
+        done
     done
     # The opt_time baseline must include the session_evolve series
     # (add/retire vs rebuild on the evolvable-session API) — a recording
@@ -53,73 +56,22 @@ check_bench_baselines() {
         echo "ERROR: BENCH_opt_time.json is missing the session_evolve series" >&2
         exit 1
     fi
-    # The scale baseline is the flagship series (universe × batch size ×
-    # threads on the seeded generator); it must exist and must cover the
-    # 10k-candidate tier, or the scaling claims in the README go unbacked.
-    if [[ ! -e BENCH_scale.json ]]; then
-        echo "ERROR: BENCH_scale.json is missing; record it with scripts/verify.sh --bench-smoke" >&2
-        exit 1
-    fi
-    if ! grep -q '"scale-10k"' BENCH_scale.json; then
-        echo "ERROR: BENCH_scale.json is missing the scale-10k tier" >&2
-        exit 1
-    fi
-    # The serve baseline backs the serving layer's admission-vs-rebuild
-    # claim; it must exist, and (like every baseline, re-checked here for
-    # an actionable message) its entries must carry `threads`.
-    if [[ ! -e BENCH_serve.json ]]; then
-        echo "ERROR: BENCH_serve.json is missing; record it with scripts/verify.sh --bench-smoke" >&2
-        exit 1
-    fi
-    if ! grep -q '"threads"' BENCH_serve.json; then
-        echo "ERROR: BENCH_serve.json entries are missing the \"threads\" field" >&2
-        exit 1
-    fi
-    # The fault-tolerance claim needs its number: the degraded_round
-    # series (deadline-hit admission latency) with its machine-independent
-    # certified gap must be recorded, or "degrades to a certified partial
-    # answer" is an unbacked sentence in the README.
-    if ! grep -q '"degraded_round"' BENCH_serve.json; then
-        echo "ERROR: BENCH_serve.json is missing the degraded_round series" >&2
-        exit 1
-    fi
-    if ! grep -q '"certified_gap"' BENCH_serve.json; then
-        echo "ERROR: BENCH_serve.json degraded_round entries are missing certified_gap" >&2
-        exit 1
-    fi
 }
 
 bench_smoke() {
-    local record="${1:-}"
-    echo "==> bench smoke (1 sample per benchmark)"
-    for b in submod_algos bestcost; do
-        MQO_BENCH_SAMPLES=1 MQO_BENCH_WARMUP=1 cargo bench --offline -q -p mqo-bench --bench "$b"
+    local record="${1:-}" b
+    echo "==> bench smoke"
+    for b in bc_oracle memo_expand opt_time; do
+        if [[ "$record" == "record" ]]; then
+            echo "==> $b (15 samples, recording BENCH_$b.json)"
+            MQO_BENCH_SAMPLES=15 MQO_BENCH_JSON="$PWD/BENCH_$b.json" \
+                cargo bench --offline -q -p mqo-bench --bench "$b"
+        else
+            MQO_BENCH_SAMPLES=1 cargo bench --offline -q -p mqo-bench --bench "$b"
+        fi
     done
-    if [[ "$record" == "record" ]]; then
-        echo "==> bc_oracle (3 samples, recording BENCH_bc_oracle.json)"
-        MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_bc_oracle.json" \
-            cargo bench --offline -q -p mqo-bench --bench bc_oracle
-        echo "==> memo_expand (3 samples, recording BENCH_memo_expand.json)"
-        MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_memo_expand.json" \
-            cargo bench --offline -q -p mqo-bench --bench memo_expand
-        echo "==> opt_time (3 samples, recording BENCH_opt_time.json extract series)"
-        MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_opt_time.json" \
-            cargo bench --offline -q -p mqo-bench --bench opt_time
-        echo "==> scale (3 samples, recording BENCH_scale.json incl. the scale-10k tier)"
-        MQO_BENCH_SAMPLES=3 MQO_BENCH_JSON="$PWD/BENCH_scale.json" \
-            cargo bench --offline -q -p mqo-bench --bench scale
-        echo "==> serve (15 samples, recording BENCH_serve.json)"
-        MQO_BENCH_SAMPLES=15 MQO_BENCH_JSON="$PWD/BENCH_serve.json" \
-            cargo bench --offline -q -p mqo-bench --bench serve
-    else
-        MQO_BENCH_SAMPLES=1 cargo bench --offline -q -p mqo-bench --bench bc_oracle
-        MQO_BENCH_SAMPLES=1 cargo bench --offline -q -p mqo-bench --bench memo_expand
-        MQO_BENCH_SAMPLES=1 MQO_BENCH_WARMUP=1 cargo bench --offline -q -p mqo-bench --bench opt_time
-        # Non-recording path: smoke + mid tiers only (the 10k tier takes
-        # minutes and is covered by recording runs).
-        MQO_BENCH_SAMPLES=1 cargo bench --offline -q -p mqo-bench --bench scale
-        MQO_BENCH_SAMPLES=1 cargo bench --offline -q -p mqo-bench --bench serve
-    fi
+    echo "==> scale_sweep --big (the 10k-candidate instance must exceed 10k candidates)"
+    cargo run --release --offline -q --example scale_sweep -- --big
     check_bench_baselines
 }
 

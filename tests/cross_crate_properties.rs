@@ -3,7 +3,7 @@
 
 use mqo_core::batch::BatchDag;
 use mqo_core::benefit::MbFunction;
-use mqo_core::engine::BestCostEngine;
+use mqo_core::engine::{BestCostEngine, MqoConfig};
 use mqo_submod::bitset::{all_subsets, BitSet};
 use mqo_submod::function::SetFunction;
 use mqo_volcano::cost::DiskCostModel;
@@ -118,13 +118,16 @@ fn incremental_equals_full_on_real_mb() {
         batch.root(),
         batch.shareable(),
     ));
-    let full = MbFunction::new(BestCostEngine::new(
+    let full = MbFunction::new(BestCostEngine::with_config(
         batch.memo(),
         &cm,
         batch.root(),
         batch.shareable(),
+        MqoConfig {
+            force_full: true,
+            ..Default::default()
+        },
     ));
-    full.set_force_full(true);
     let n = inc.universe();
     let mut state = 777u64;
     for _ in 0..25 {

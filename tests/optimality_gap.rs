@@ -179,6 +179,37 @@ fn budgeted_runs_certify_validly() {
         "an unreachable floor must cut the run short"
     );
     assert!(r.materialized.is_empty());
+
+    // The floored run's certificate is machine-independent: one full
+    // observation round, then cut, so its ratio is finite and bit-stable
+    // across hosts and thread counts. Pinned on BQ4 minus its last query,
+    // the base a warm BQ4 service holds before an arrival.
+    let mut w = mqo_tpcd::batched(4, 1.0);
+    w.queries.pop();
+    let bq4_base = Session::builder()
+        .context(w.ctx)
+        .queries(w.queries)
+        .rules(RuleSet::default())
+        .cost_model(DiskCostModel::paper())
+        .build();
+    for threads in [1usize, 4] {
+        let floored = MqoConfig {
+            threads,
+            marginal_floor: f64::MAX,
+            ..MqoConfig::default()
+        };
+        let cert = bq4_base
+            .run_with(Strategy::MarginalGreedy, floored)
+            .gap_certificate
+            .expect("floored greedy certifies");
+        assert!(cert.truncated, "threads {threads}: floor must truncate");
+        assert_eq!(
+            cert.ratio.to_bits(),
+            0x4002_601f_0685_d006,
+            "threads {threads}: certified gap {} drifted from 2.296934",
+            cert.ratio
+        );
+    }
 }
 
 #[test]

@@ -105,8 +105,15 @@ fn assert_plans_equal(arena: &PhysPlan, reference: &PhysPlan, path: &str) {
     }
 }
 
-fn all_strategies() -> Vec<Strategy> {
-    vec![
+/// Every strategy under the default configuration at `threads`, plus
+/// MarginalGreedy capped at k = 2 with the Theorem 4 pre-pass on, so
+/// capped extraction stays covered.
+fn all_cases(threads: usize) -> Vec<(Strategy, MqoConfig)> {
+    let base = MqoConfig {
+        threads,
+        ..Default::default()
+    };
+    let mut cases: Vec<(Strategy, MqoConfig)> = [
         Strategy::Volcano,
         Strategy::Greedy,
         Strategy::LazyGreedy,
@@ -114,53 +121,49 @@ fn all_strategies() -> Vec<Strategy> {
         Strategy::LazyMarginalGreedy,
         Strategy::MaterializeAll,
         Strategy::MarginalGreedyCleanup,
-        Strategy::CardinalityMarginalGreedy {
-            k: 2,
-            reduce_universe: true,
-        },
         // Exhaustive is omitted: the BQ3/BQ4 universes exceed its 20-node
         // limit; its extraction path is identical to the others'.
     ]
+    .map(|s| (s, base))
+    .to_vec();
+    cases.push((
+        Strategy::MarginalGreedy,
+        MqoConfig {
+            max_materializations: Some(2),
+            universe_reduction: true,
+            ..base
+        },
+    ));
+    cases
 }
 
 fn check_workload(i: usize) {
     let cm = DiskCostModel::paper();
     let session = build(i);
-    for strategy in all_strategies() {
-        for threads in [1usize, 4] {
-            let report = session.run_with(
-                strategy,
-                MqoConfig {
-                    threads,
-                    ..Default::default()
-                },
-            );
+    for threads in [1usize, 4] {
+        for (strategy, config) in all_cases(threads) {
+            let report = session.run_with(strategy, config);
+            let case = match config.max_materializations {
+                Some(k) => format!("BQ{i}/{}[k={k}]@{threads}", report.strategy),
+                None => format!("BQ{i}/{}@{threads}", report.strategy),
+            };
             let (ref_mats, ref_queries, ref_total) =
                 reference_extract(session.batch(), &cm, &report.materialized);
 
             assert!(
                 close(report.plan.total_cost, ref_total),
-                "BQ{i} {} @{threads}: arena total {} vs reference {}",
-                report.strategy,
+                "{case}: arena total {} vs reference {}",
                 report.plan.total_cost,
                 ref_total
             );
             assert_eq!(report.plan.materializations.len(), ref_mats.len());
             for ((ag, ap), (rg, rp)) in report.plan.materializations.iter().zip(&ref_mats) {
-                assert_eq!(ag, rg, "BQ{i} {}: materialization order", report.strategy);
-                assert_plans_equal(
-                    ap,
-                    rp,
-                    &format!("BQ{i}/{}@{threads}/mat{}", report.strategy, ag.0),
-                );
+                assert_eq!(ag, rg, "{case}: materialization order");
+                assert_plans_equal(ap, rp, &format!("{case}/mat{}", ag.0));
             }
             assert_eq!(report.plan.query_plans.len(), ref_queries.len());
             for (qi, (ap, rp)) in report.plan.query_plans.iter().zip(&ref_queries).enumerate() {
-                assert_plans_equal(
-                    ap,
-                    rp,
-                    &format!("BQ{i}/{}@{threads}/q{qi}", report.strategy),
-                );
+                assert_plans_equal(ap, rp, &format!("{case}/q{qi}"));
             }
         }
     }
