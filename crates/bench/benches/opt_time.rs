@@ -88,9 +88,10 @@ fn bench_extract(rec: &mut Record, i: usize) {
 
 /// The `session_evolve` series: per batch, the time to `add_query` the
 /// batch's last query onto a live session of the others, to
-/// `retire_query` it again (restoring the base via the savepoint fast
-/// path), and — the comparison baseline — to rebuild the full batch from
-/// scratch with `Session::build`. An add/retire cycle leaves the session
+/// `retire_query` it again (which rebuilds the base from the survivors'
+/// plans, so it tracks the rebuild of the smaller batch), and — the
+/// comparison baseline — to rebuild the full batch from scratch with
+/// `Session::build`. An add/retire cycle leaves the session
 /// in its base state, so the cycles repeat on one long-lived session,
 /// exactly the serving pattern the evolvable API exists for.
 fn bench_session_evolve(rec: &mut Record, i: usize) {

@@ -15,12 +15,13 @@
 //! API exposed the memo as a public field and had to guard the view with a
 //! runtime fingerprint assertion). Since PR 6 the batch is *evolvable*:
 //! [`BatchDag::add_query_with_threads`] and
-//! [`BatchDag::retire_query_with_threads`] grow and shrink the live batch
-//! in place — a commit rewinds/extends the memo via savepoints and the
-//! seeded expansion fixpoint, recomputes the shareable universe from the
-//! memo's [`MemoDelta`], and swaps in a fresh topological view, while
-//! universe *slots* stay stable across evolutions (retired elements are
-//! tombstoned, never renumbered).
+//! [`BatchDag::retire_query_with_threads`] grow and shrink the live batch.
+//! The memo is append-only: an admission extends it through the seeded
+//! expansion fixpoint and recomputes the shareable universe from the
+//! memo's [`MemoDelta`]; a retire or rollback rebuilds it from the
+//! surviving queries' plans. Either way the commit swaps in a fresh
+//! topological view, and universe *slots* stay stable across evolutions
+//! (retired elements are tombstoned, never renumbered).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -29,7 +30,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use mqo_volcano::cost::CostModel;
 use mqo_volcano::logical::LogicalOp;
-use mqo_volcano::memo::{GroupId, Memo, MemoDelta, Savepoint, TopoView};
+use mqo_volcano::memo::{GroupId, Memo, MemoDelta, TopoView};
 use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
 use mqo_volcano::{DagContext, PlanNode};
 
@@ -53,13 +54,11 @@ struct QueryEntry {
     /// entry's position so [`BatchDag::compact_history`] can drop retired
     /// entries without invalidating outstanding tickets.
     ticket: u32,
-    /// The submitted logical plan (kept for replay on retire/rollback).
+    /// The submitted logical plan (kept for the rebuild on
+    /// retire/rollback).
     plan: PlanNode,
     /// The query's root group in the current memo state.
     root: GroupId,
-    /// Savepoint taken immediately before this query was admitted
-    /// incrementally; `None` for queries interned by a batch (re)build.
-    sp: Option<Savepoint>,
     /// Whether the query is still part of the batch.
     live: bool,
 }
@@ -89,9 +88,8 @@ pub struct BatchDag {
     /// Root group of each live query, in submission order.
     query_roots: Vec<GroupId>,
     /// Query provenance in admission order. Retired entries linger as
-    /// tombstones (their plans seed savepoint replays) until
-    /// [`BatchDag::compact_history`] drops them; tickets carry their own
-    /// stable ids, so compaction never invalidates one.
+    /// tombstones until [`BatchDag::compact_history`] drops them; tickets
+    /// carry their own stable ids, so compaction never invalidates one.
     entries: Vec<QueryEntry>,
     /// Next ticket id to issue; never decreases, so tickets are unique for
     /// the lifetime of the batch.
@@ -109,9 +107,13 @@ pub struct BatchDag {
     /// Per-group-slot reference counts (with multiplicity) over live
     /// expressions; kept incrementally from evolution deltas.
     refs: Vec<u32>,
-    /// Bumped whenever the universe changes shape across an evolution
-    /// commit; consumers (memoized oracles) invalidate on it.
+    /// Bumped whenever an evolution commit changes the sequence of live
+    /// universe slots (see [`BatchDag::universe_epoch`]).
     universe_epoch: u64,
+    /// Fingerprints of the live universe slots, in slot order, as of the
+    /// last epoch stamp: the id-free key the epoch is bumped against, so a
+    /// rebuild that only renumbers groups leaves the epoch alone.
+    epoch_key: Vec<u64>,
     /// Cumulative expansion statistics (initial build plus evolutions).
     expansion: ExpansionStats,
     /// Lazily computed dense topological view of the current memo state;
@@ -163,7 +165,6 @@ impl BatchDag {
                 ticket: i as u32,
                 plan: q.clone(),
                 root: r,
-                sp: None,
                 live: true,
             })
             .collect();
@@ -171,10 +172,11 @@ impl BatchDag {
         recompute_refs(&memo, &mut refs);
         let shareable = find_shareable_with_refs(&memo, root, &refs);
         // Initial universe: one live slot per shareable group, ascending.
+        let epoch_key = group_fingerprints(&memo, &shareable);
         let universe = shareable
             .iter()
-            .zip(group_fingerprints(&memo, &shareable))
-            .map(|(&g, fingerprint)| UniverseSlot {
+            .zip(&epoch_key)
+            .map(|(&g, &fingerprint)| UniverseSlot {
                 fingerprint,
                 group: g,
                 live: true,
@@ -192,6 +194,7 @@ impl BatchDag {
             elem_of_group,
             refs,
             universe_epoch: 0,
+            epoch_key,
             next_ticket: queries.len() as u32,
             expansion,
             topo: OnceLock::new(),
@@ -234,8 +237,11 @@ impl BatchDag {
         }
     }
 
-    /// Bumped whenever an evolution commit changes the universe; memoized
-    /// oracle layers invalidate on it.
+    /// Bumped whenever an evolution commit changes the sequence of live
+    /// universe slots, i.e. whenever some universe element index comes to
+    /// mean a different structural group. A rebuild that only renumbers
+    /// [`GroupId`]s, and a compaction that drops dead slots, leave it
+    /// alone.
     pub fn universe_epoch(&self) -> u64 {
         self.universe_epoch
     }
@@ -342,16 +348,14 @@ impl BatchDag {
     pub fn compile_engine(&self, cm: &dyn CostModel, config: MqoConfig) -> BestCostEngine {
         let mut cache = self.lock_engine_cache();
         cache.prime_topo(&self.memo, self.topo_arc());
-        let mut engine = BestCostEngine::with_cache(
+        BestCostEngine::with_cache(
             &self.memo,
             cm,
             self.root,
             &self.shareable,
             config,
             &mut cache,
-        );
-        engine.set_universe_epoch(self.universe_epoch);
-        engine
+        )
     }
 
     /// Compiles an immutable [`EngineState`] snapshot of the current commit:
@@ -391,25 +395,23 @@ impl BatchDag {
         group_fingerprints(&self.memo, &self.shareable)
     }
 
-    /// Size of the evolution history: provenance entries (live plus
-    /// tombstoned) plus the memo's savepoint undo log. This is the state
-    /// that grows with every add/retire cycle and that
-    /// [`BatchDag::compact_history`] re-baselines away.
+    /// Size of the evolution history: provenance entries, live plus
+    /// tombstoned. This is the state that grows with every add/retire
+    /// cycle and that [`BatchDag::compact_history`] drops.
     pub fn history_len(&self) -> usize {
-        self.entries.len() + self.memo.undo_len()
+        self.entries.len()
     }
 
-    /// Re-baselines the batch: drops retired provenance entries and
-    /// rebuilds the memo from the survivors' plans, clearing the savepoint
-    /// undo log. Afterwards [`BatchDag::history_len`] depends only on the
-    /// live query count, not on how many add/retire cycles preceded it.
-    /// Outstanding tickets stay valid (they carry stable ids); universe
-    /// slots keep their identity via fingerprint matching, exactly as on
-    /// the retire fallback path.
-    pub fn compact_history(&mut self, threads: usize) {
+    /// Drops retired provenance entries and dead universe slots, so
+    /// [`BatchDag::history_len`] afterwards depends only on the live query
+    /// count, not on how many add/retire cycles preceded it. The memo is
+    /// not touched: it already holds exactly the survivors (every retire
+    /// rebuilds it), so compaction never re-expands. Outstanding tickets
+    /// stay valid (they carry stable ids), and the live slots keep their
+    /// order, so universe elements and the epoch are unchanged.
+    pub fn compact_history(&mut self) {
         self.entries.retain(|e| e.live);
         self.universe.retain(|s| s.live);
-        self.rebuild_from_entries(threads);
     }
 
     // -----------------------------------------------------------------------
@@ -417,13 +419,12 @@ impl BatchDag {
     // -----------------------------------------------------------------------
 
     /// Admits a new query into the live batch without a full rebuild: the
-    /// plan is interned under a savepoint, the expansion fixpoint re-runs
-    /// seeded with only the freshly interned expressions, and the
-    /// shareable universe is extended incrementally from the memo delta
-    /// (new shareable groups append universe slots; existing slots keep
-    /// their element index).
+    /// plan is appended to the memo, the expansion fixpoint re-runs seeded
+    /// with only the freshly interned expressions, and the shareable
+    /// universe is extended incrementally from the memo delta (new
+    /// shareable groups append universe slots; existing slots keep their
+    /// element index).
     pub fn add_query_with_threads(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
-        let sp = self.memo.savepoint();
         self.memo.delta_begin();
         let watermark = self.memo.exprs_allocated() as u32;
         let root = self.memo.insert_plan(plan);
@@ -441,27 +442,23 @@ impl BatchDag {
             ticket: ticket.0,
             plan: plan.clone(),
             root: self.memo.find(root),
-            sp: Some(sp),
             live: true,
         });
         apply_delta_to_refs(&self.memo, &delta, &mut self.refs);
         // Chaos-test window: the memo has the new query's expressions but
         // the evolution is not yet committed — exactly the state a serving
-        // round's savepoint rollback must be able to unwind.
+        // round's rollback must be able to unwind.
         fault::hit(FaultSite::AdmissionPrecommit);
         self.commit_evolution();
         ticket
     }
 
-    /// Retires a query from the live batch. Its private expressions are
-    /// reclaimed by rewinding the memo to the savepoint taken when the
-    /// query was admitted and replaying the (seeded, incremental)
-    /// admission of every later surviving query; shared expressions are
-    /// re-interned by the replay and keep their universe slots via
-    /// fingerprint matching. Universe slots whose group disappears are
-    /// tombstoned, never renumbered. Queries admitted by the initial batch
-    /// build have no savepoint; retiring one falls back to a full rebuild
-    /// of the survivors (same result, full cost).
+    /// Retires a query from the live batch. The memo is append-only, so
+    /// the query's private expressions are reclaimed by rebuilding it from
+    /// the surviving queries' plans; surviving shareable groups keep their
+    /// universe slots via fingerprint matching, and slots whose group
+    /// disappears are tombstoned, never renumbered. The retired entry
+    /// stays in the provenance log until [`BatchDag::compact_history`].
     ///
     /// # Panics
     /// If the ticket was already retired, or if it names the last live
@@ -497,48 +494,20 @@ impl BatchDag {
             return Err(MqoError::LastLiveQuery(ticket));
         }
         self.entries[idx].live = false;
-        let sp = self.entries[idx].sp.take();
-        match sp {
-            Some(sp) if self.memo.savepoint_valid(&sp) => {
-                self.memo.truncate_to(&sp);
-                // Replay every later surviving admission incrementally.
-                for i in idx + 1..self.entries.len() {
-                    if !self.entries[i].live {
-                        continue;
-                    }
-                    let sp = self.memo.savepoint();
-                    let watermark = self.memo.exprs_allocated() as u32;
-                    let plan = self.entries[i].plan.clone();
-                    let root = self.memo.insert_plan(&plan);
-                    self.memo.add_query_root(root);
-                    let seeds =
-                        (watermark..self.memo.exprs_allocated() as u32).map(mqo_volcano::ExprId);
-                    let stats = expand_seeded(&mut self.memo, &self.rules, threads, seeds);
-                    self.expansion.passes += stats.passes;
-                    self.expansion.candidates += stats.candidates;
-                    self.entries[i].root = self.memo.find(root);
-                    self.entries[i].sp = Some(sp);
-                }
-                self.root = self.memo.build_batch_root();
-                recompute_refs(&self.memo, &mut self.refs);
-                self.commit_evolution();
-            }
-            _ => self.rebuild_from_entries(threads),
-        }
+        self.rebuild_from_entries(threads);
         Ok(())
     }
 
     /// Rebuilds the memo from the surviving entries' plans (exactly the
     /// initial-build path), then re-matches the universe so surviving
-    /// shareable groups keep their slots. Fallback for retire/rollback
-    /// when no savepoint can rewind the memo.
+    /// shareable groups keep their slots. The one path for retire and
+    /// rollback.
     fn rebuild_from_entries(&mut self, threads: usize) {
         self.memo.reset();
         for entry in self.entries.iter_mut().filter(|e| e.live) {
             let root = self.memo.insert_plan(&entry.plan);
             self.memo.add_query_root(root);
             entry.root = root;
-            entry.sp = None;
         }
         let stats = expand_with(&mut self.memo, &self.rules, threads);
         self.expansion.passes += stats.passes;
@@ -596,7 +565,6 @@ impl BatchDag {
                 slot.live = false;
             }
         }
-        let old_shareable = std::mem::take(&mut self.shareable);
         self.shareable = self
             .universe
             .iter()
@@ -604,7 +572,14 @@ impl BatchDag {
             .map(|s| s.group)
             .collect();
         self.elem_of_group = build_elem_of_group(&self.memo, &self.shareable);
-        if self.shareable != old_shareable {
+        let key: Vec<u64> = self
+            .universe
+            .iter()
+            .filter(|s| s.live)
+            .map(|s| s.fingerprint)
+            .collect();
+        if key != self.epoch_key {
+            self.epoch_key = key;
             self.universe_epoch += 1;
         }
         // Swap the topo cell: engines holding the old Arc keep a frozen
@@ -613,55 +588,39 @@ impl BatchDag {
     }
 }
 
-/// A consistent snapshot of a [`BatchDag`]'s evolution state, taken by
-/// [`BatchDag::savepoint`] for speculative admission. Rolling back rewinds
-/// the memo via the embedded [`Savepoint`] when it is still valid and
-/// falls back to a rebuild of the snapshot's live queries otherwise.
+/// A snapshot of a [`BatchDag`]'s evolution state, taken by
+/// [`BatchDag::savepoint`] for speculative admission. It keeps only what a
+/// rebuild cannot recompute — the provenance entries, the universe slots,
+/// and the ticket watermark — and rolling back rebuilds the memo from the
+/// snapshot's live queries.
 #[derive(Debug)]
 pub struct BatchSavepoint {
     /// Identity of the batch this savepoint was taken on; see
     /// [`BatchDag::try_rollback_with_threads`].
     batch_uid: u64,
-    memo_sp: Savepoint,
-    root: GroupId,
-    query_roots: Vec<GroupId>,
     entries: Vec<QueryEntry>,
     universe: Vec<UniverseSlot>,
-    shareable: Vec<GroupId>,
-    elem_of_group: Vec<u32>,
-    refs: Vec<u32>,
-    expansion: ExpansionStats,
     next_ticket: u32,
 }
 
 impl BatchDag {
     /// Captures the current evolution state for a later
-    /// [`BatchDag::rollback`]. Cheap: clones bookkeeping vectors, never
-    /// the memo arenas.
-    pub fn savepoint(&mut self) -> BatchSavepoint {
+    /// [`BatchDag::rollback`]. Cheap: clones the provenance entries and
+    /// universe slots, never the memo.
+    pub fn savepoint(&self) -> BatchSavepoint {
         BatchSavepoint {
             batch_uid: self.uid,
-            memo_sp: self.memo.savepoint(),
-            root: self.root,
-            query_roots: self.query_roots.clone(),
             entries: self.entries.clone(),
             universe: self.universe.clone(),
-            shareable: self.shareable.clone(),
-            elem_of_group: self.elem_of_group.clone(),
-            refs: self.refs.clone(),
-            expansion: self.expansion,
             next_ticket: self.next_ticket,
         }
     }
 
-    /// Rewinds every evolution commit made since `sp` was taken: slots,
-    /// elements, tickets, and the memo return to the exact snapshot state.
-    /// The universe epoch bumps only when the rewind actually changes the
-    /// shareable universe — an identical ground set means every memoized
-    /// oracle value is still correct, so consumers need not invalidate.
-    /// If the memo savepoint was invalidated in the meantime (e.g. a
-    /// retire rewound past it), the snapshot's live queries are rebuilt
-    /// instead — same resulting state, full cost.
+    /// Rewinds every evolution commit made since `sp` was taken: tickets,
+    /// universe slots, and the live query set return to the snapshot
+    /// state, and the memo is rebuilt from the snapshot's live queries (a
+    /// rollback costs a rebuild). The universe epoch bumps only when the
+    /// rewind actually changes the sequence of live universe slots.
     ///
     /// # Panics
     /// If `sp` is stale: taken on a different batch, or already rolled
@@ -672,7 +631,7 @@ impl BatchDag {
     }
 
     /// [`BatchDag::rollback`] with an explicit thread count for the
-    /// rebuild fallback's expansion fixpoint.
+    /// rebuild's expansion fixpoint.
     pub fn rollback_with_threads(&mut self, sp: BatchSavepoint, threads: usize) {
         self.try_rollback_with_threads(sp, threads)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -692,37 +651,10 @@ impl BatchDag {
         if sp.batch_uid != self.uid || sp.next_ticket > self.next_ticket {
             return Err(MqoError::StaleSavepoint);
         }
-        let BatchSavepoint {
-            batch_uid: _,
-            memo_sp,
-            root,
-            query_roots,
-            entries,
-            universe,
-            shareable,
-            elem_of_group,
-            refs,
-            expansion,
-            next_ticket,
-        } = sp;
-        self.entries = entries;
-        self.universe = universe;
-        self.expansion = expansion;
-        self.next_ticket = next_ticket;
-        if self.memo.savepoint_valid(&memo_sp) {
-            self.memo.truncate_to(&memo_sp);
-            self.root = root;
-            self.query_roots = query_roots;
-            if self.shareable != shareable {
-                self.universe_epoch += 1;
-            }
-            self.shareable = shareable;
-            self.elem_of_group = elem_of_group;
-            self.refs = refs;
-            self.topo = OnceLock::new();
-        } else {
-            self.rebuild_from_entries(threads);
-        }
+        self.entries = sp.entries;
+        self.universe = sp.universe;
+        self.next_ticket = sp.next_ticket;
+        self.rebuild_from_entries(threads);
         Ok(())
     }
 }
@@ -775,8 +707,7 @@ fn find_shareable_with_refs(memo: &Memo, root: GroupId, refs: &[u32]) -> Vec<Gro
 
 /// Reference counts from scratch: one pass over the live expression arena
 /// (pass 1 of the original `find_shareable`). Used by the initial build
-/// and by the retire/rollback paths, whose memo rewind is not
-/// delta-describable.
+/// and by the rebuild behind retire and rollback.
 fn recompute_refs(memo: &Memo, refs: &mut Vec<u32>) {
     refs.clear();
     refs.resize(memo.n_group_slots(), 0);
@@ -1163,7 +1094,7 @@ mod tests {
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
         evolved.add_query_with_threads(&q3, 1);
-        // Ticket 0 is an initial-build entry (no savepoint): slow path.
+        // Ticket 0 is an initial-build entry.
         evolved.retire_query_with_threads(QueryTicket(0), 1);
         assert_eq!(evolved.live_queries(), 2);
         assert_equivalent(&evolved, &fresh, "retire initial q1");

@@ -350,11 +350,10 @@ impl CompileCache {
     /// allocation count, any merge shrinks the live-*group* count (even
     /// when no expression is tombstoned), and tombstoning shrinks the
     /// live-expression count. The fourth component is the memo's monotone
-    /// delta epoch ([`Memo::version`]): batch evolution can rewind the
-    /// arenas to a state whose three counts alias an earlier compile
-    /// (savepoint rollback restores them exactly), but the version never
-    /// decreases, so a cached view can never be served across *any*
-    /// mutation — including a rollback or reset.
+    /// delta epoch ([`Memo::version`]): a rebuild after a retire or
+    /// rollback can land on a state whose three counts alias an earlier
+    /// compile, but the version never decreases, so a cached view can
+    /// never be served across *any* mutation — including a reset.
     pub(crate) fn signature(memo: &Memo) -> (usize, usize, usize, u64) {
         (
             memo.exprs_allocated(),
@@ -514,11 +513,6 @@ pub struct BestCostEngine {
     /// Round-to-round cone memo of [`Self::bc_many`]'s single-element
     /// candidates.
     cones: ConeMemo,
-    /// Universe epoch of the batch state this engine was compiled against
-    /// (0 for engines compiled outside an evolvable batch). Memoized
-    /// oracle layers key their caches on it so a universe resize across an
-    /// evolution step can never serve a stale bitset evaluation.
-    universe_epoch: u64,
     /// Evaluation strategy knobs.
     pub config: MqoConfig,
 }
@@ -539,20 +533,6 @@ impl BestCostEngine {
         config: MqoConfig,
     ) -> Self {
         Self::with_cache(memo, cm, root, universe, config, &mut CompileCache::new())
-    }
-
-    /// Universe epoch of the batch state this engine was compiled against
-    /// (see [`crate::batch::BatchDag::universe_epoch`]); 0 for engines
-    /// compiled directly, outside an evolvable batch.
-    pub fn universe_epoch(&self) -> u64 {
-        self.universe_epoch
-    }
-
-    /// Stamps the engine with its batch's universe epoch; called by
-    /// `BatchDag::compile_engine` so memoized oracle layers over this
-    /// engine can invalidate when the universe evolves.
-    pub fn set_universe_epoch(&mut self, epoch: u64) {
-        self.universe_epoch = epoch;
     }
 
     /// Compiles the engine through a reusable [`CompileCache`]: the cached
@@ -594,7 +574,6 @@ impl BestCostEngine {
             worker_scratches: Vec::new(),
             shared_buf: BitSet::empty(u),
             cones: ConeMemo::new(),
-            universe_epoch: 0,
             config,
             arenas,
         }
@@ -1823,9 +1802,7 @@ impl EngineState {
     /// independent: each owns its committed base and overlay scratch, so
     /// any number of readers can evaluate concurrently.
     pub fn engine(&self, config: MqoConfig) -> BestCostEngine {
-        let mut engine = BestCostEngine::from_arenas(Arc::clone(&self.arenas), config);
-        engine.set_universe_epoch(self.universe_epoch);
-        engine
+        BestCostEngine::from_arenas(Arc::clone(&self.arenas), config)
     }
 }
 

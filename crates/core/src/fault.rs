@@ -15,8 +15,8 @@
 //!   [`crate::engine::BestCostEngine::bc`] / `bc_many` (an oracle
 //!   evaluation blowing up mid-round);
 //! - [`FaultSite::AdmissionPrecommit`] — inside
-//!   [`crate::batch::BatchDag::add_query_with_threads`], after the memo
-//!   savepoint and the seeded expansion but *before* the evolution commit
+//!   [`crate::batch::BatchDag::add_query_with_threads`], after the
+//!   seeded expansion but *before* the evolution commit
 //!   (the window the serving layer's round rollback must cover);
 //! - [`FaultSite::ServeRound`] — entry of the serving layer's queue
 //!   drain, while the writer lock is held but before any mutation (the
@@ -30,7 +30,8 @@ use std::cell::Cell;
 pub enum FaultSite {
     /// `BestCostEngine::bc` / `bc_many` entry.
     OracleEval,
-    /// `BatchDag::add_query_with_threads`, between savepoint and commit.
+    /// `BatchDag::add_query_with_threads`, between the seeded expansion
+    /// and the evolution commit.
     AdmissionPrecommit,
     /// `MqoService` drain entry, under the writer lock, pre-mutation.
     ServeRound,

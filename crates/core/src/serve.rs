@@ -24,11 +24,13 @@
 //!
 //! Two maintenance duties ride on the writer:
 //!
-//! - **re-baselining** — when the evolution history (provenance entries
-//!   plus the memo's savepoint undo log) exceeds
-//!   [`ServeConfig::history_watermark`], the batch is compacted so history
+//! - **re-baselining** — when the evolution history (provenance entries,
+//!   live plus retired) exceeds [`ServeConfig::history_watermark`], the
+//!   batch drops its retired entries and dead universe slots, so history
 //!   size depends only on the live query count, not on how many
-//!   add/retire cycles the service has absorbed;
+//!   add/retire cycles the service has absorbed. Compaction never touches
+//!   the memo: admissions extend it incrementally and every retire
+//!   already rebuilds it from the survivors;
 //! - the **materialization cache** — when
 //!   [`ServeConfig::cache_capacity`] is non-zero, the service retains the
 //!   materializations the configured strategy keeps choosing, keyed by
@@ -49,11 +51,13 @@
 //!   [`MqoError::InvalidPlan`] without ever reaching the writer, so one
 //!   bad client cannot fail a round shared with healthy submitters.
 //! - **Rounds are transactions.** The draining writer takes a
-//!   [`crate::batch::BatchSavepoint`] before each round and wraps the
-//!   round's admissions in [`std::panic::catch_unwind`]. A panic anywhere
-//!   inside (an oracle blowing up mid-evaluation, an admission dying
-//!   between savepoint and commit) rolls the batch back to the round's
-//!   entry savepoint; only that round's submitters observe it, each as
+//!   [`crate::batch::BatchSavepoint`] (a copy of the provenance entries
+//!   and universe slots) before each round and wraps the round's
+//!   admissions in [`std::panic::catch_unwind`]. A panic anywhere inside
+//!   (an oracle blowing up mid-evaluation, an admission dying between
+//!   memo expansion and commit) rolls the batch back to the round's entry
+//!   savepoint by rebuilding its live queries; only that round's
+//!   submitters observe it, each as
 //!   [`MqoError::RoundFailed`] in its slot. The previously published
 //!   snapshot stays live, and subsequent rounds proceed as if the failed
 //!   round had never been queued.

@@ -9,9 +9,10 @@
 //! yields an [`OptimizedBatch`] whose [`OptimizedBatch::run`] /
 //! [`OptimizedBatch::run_all`] return [`RunReport`]s carrying the
 //! extracted consolidated physical plan. The batch is also *evolvable*:
-//! [`OptimizedBatch::add_query`] / [`OptimizedBatch::retire_query`] mutate
-//! the live batch incrementally, and [`OptimizedBatch::savepoint`] /
-//! [`OptimizedBatch::rollback`] bracket speculative sequences.
+//! [`OptimizedBatch::add_query`] admits a query incrementally,
+//! [`OptimizedBatch::retire_query`] rebuilds the survivors, and
+//! [`OptimizedBatch::savepoint`] / [`OptimizedBatch::rollback`] bracket
+//! speculative sequences.
 //!
 //! ```no_run
 //! use mqo_core::session::Session;
@@ -179,16 +180,16 @@ impl SessionBuilder {
 ///
 /// The batch is *evolvable*: [`OptimizedBatch::add_query`] admits a new
 /// query into the live memo (seeded incremental expansion, no rebuild) and
-/// returns a [`QueryTicket`]; [`OptimizedBatch::retire_query`] removes one;
-/// [`OptimizedBatch::savepoint`] / [`OptimizedBatch::rollback`] bracket
-/// speculative what-if admissions. Every evolution step leaves the batch
-/// exactly equivalent to a fresh [`SessionBuilder::build`] over the
-/// surviving queries — same live DAG, same shareable universe (modulo
-/// tombstoned slots), identical plans and `bestCost` values. Evolution
-/// takes `&mut self`; `run*` calls observe a consistent compiled snapshot
-/// because they run off an immutable [`EngineState`] published by
-/// [`OptimizedBatch::snapshot`] and revalidated against the memo's
-/// version counter.
+/// returns a [`QueryTicket`]; [`OptimizedBatch::retire_query`] removes one
+/// by rebuilding the survivors; [`OptimizedBatch::savepoint`] /
+/// [`OptimizedBatch::rollback`] bracket speculative what-if admissions.
+/// Every evolution step leaves the batch exactly equivalent to a fresh
+/// [`SessionBuilder::build`] over the surviving queries — same live DAG,
+/// same shareable universe (modulo tombstoned slots), identical plans and
+/// `bestCost` values. Evolution takes `&mut self`; `run*` calls observe a
+/// consistent compiled snapshot because they run off an immutable
+/// [`EngineState`] published by [`OptimizedBatch::snapshot`] and
+/// revalidated against the memo's version counter.
 ///
 /// Ownership is split three ways (the serving layer is built on exactly
 /// this split): the **batch** is the thin mutable editor, the
@@ -327,8 +328,8 @@ impl OptimizedBatch {
     }
 
     /// Retires the query behind `ticket` from the live batch, reclaiming
-    /// its private expressions (savepoint rewind + incremental replay of
-    /// later survivors).
+    /// its private expressions by rebuilding the memo from the surviving
+    /// queries (a retire costs a rebuild).
     ///
     /// # Panics
     ///
@@ -372,14 +373,17 @@ impl OptimizedBatch {
 
     /// Snapshots the batch for a later [`OptimizedBatch::rollback`] —
     /// bracket speculative `add_query`/`retire_query` sequences (what-if
-    /// admission probes) without paying for a rebuild on abandonment.
-    pub fn savepoint(&mut self) -> BatchSavepoint {
+    /// admission probes). Cheap: it copies the provenance entries and
+    /// universe slots, never the memo.
+    pub fn savepoint(&self) -> BatchSavepoint {
         self.batch.savepoint()
     }
 
     /// Rewinds the batch to `sp`, undoing every evolution step since the
-    /// matching [`OptimizedBatch::savepoint`]. Tickets issued after the
-    /// savepoint are dead afterwards; tickets issued before it stay valid.
+    /// matching [`OptimizedBatch::savepoint`] by rebuilding the memo from
+    /// the savepoint's live queries (a rollback costs a rebuild). Tickets
+    /// issued after the savepoint are dead afterwards; tickets issued
+    /// before it stay valid.
     ///
     /// # Panics
     ///
@@ -425,19 +429,19 @@ impl OptimizedBatch {
         self.batch.tickets()
     }
 
-    /// Size of the evolution history (provenance entries plus the memo's
-    /// savepoint undo log) — the state that grows with every add/retire
-    /// cycle until [`OptimizedBatch::compact_history`] re-baselines it.
+    /// Size of the evolution history: provenance entries, live plus
+    /// retired — the state that grows with every add/retire cycle until
+    /// [`OptimizedBatch::compact_history`] drops the retired ones.
     pub fn history_len(&self) -> usize {
         self.batch.history_len()
     }
 
-    /// Re-baselines the batch: drops retired provenance, rebuilds the memo
-    /// from the survivors, and clears the savepoint undo log, so
+    /// Drops retired provenance entries and dead universe slots, so
     /// [`OptimizedBatch::history_len`] afterwards depends only on the live
-    /// query count. Outstanding tickets stay valid.
+    /// query count. The memo is left as it is (it never re-expands), and
+    /// outstanding tickets stay valid.
     pub fn compact_history(&mut self) {
-        self.batch.compact_history(self.config.threads);
+        self.batch.compact_history();
     }
 
     // -----------------------------------------------------------------------

@@ -299,7 +299,7 @@ fn old_snapshot_is_bitwise_stable_across_concurrent_commits() {
 }
 
 /// Re-baselining bound: after `compact_history`, the evolution history
-/// (provenance entries + memo undo log) depends only on the live query
+/// (provenance entries, live plus retired) depends only on the live query
 /// count — not on how many add/retire cycles came before.
 #[test]
 fn compacted_history_is_independent_of_prior_cycles() {
@@ -374,6 +374,69 @@ fn service_compacts_past_the_watermark() {
     let w2 = mqo_tpcd::batched(4, 1.0);
     let fresh = build(w2.ctx, &pool[..2], 1);
     assert_equivalent(&served, &fresh, "service compaction");
+}
+
+/// History counts provenance entries only, so admissions that stay
+/// within the watermark never compact, however much the memo grew.
+#[test]
+fn admissions_alone_never_compact() {
+    for threads in THREADS {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let pool = w.queries.clone();
+        let batch = build(w.ctx, &pool[..2], threads);
+        let watermark = batch.history_len() + 3;
+        let service = batch.serve_with(ServeConfig {
+            history_watermark: watermark,
+            ..ServeConfig::default()
+        });
+        for q in &pool[2..5] {
+            service.submit_query(q.clone());
+        }
+        assert_eq!(
+            service.stats().compactions,
+            0,
+            "threads {threads}: 3 admissions under watermark {watermark} compacted (history {})",
+            service.history_len()
+        );
+        let served = service.finish();
+        let w2 = mqo_tpcd::batched(4, 1.0);
+        let fresh = build(w2.ctx, &pool[..5], threads);
+        assert_equivalent(
+            &served,
+            &fresh,
+            &format!("threads {threads}: admissions only"),
+        );
+    }
+}
+
+/// Compaction drops retired entries and dead universe slots without
+/// touching the memo: its version stays put, and the batch still matches
+/// a fresh build of the survivors.
+#[test]
+fn compaction_leaves_the_memo_untouched() {
+    for threads in THREADS {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let pool = w.queries.clone();
+        let mut batch = build(w.ctx, &pool[..2], threads);
+        for q in &pool[2..6] {
+            let t = batch.add_query(q.clone());
+            batch.retire_query(t);
+        }
+        let kept = batch.add_query(pool[6].clone());
+        let version = batch.batch().memo().version();
+        batch.compact_history();
+        assert_eq!(
+            batch.batch().memo().version(),
+            version,
+            "threads {threads}: compaction mutated the memo"
+        );
+        assert_eq!(batch.history_len(), 3);
+        assert!(batch.batch().is_live(kept));
+        let w2 = mqo_tpcd::batched(4, 1.0);
+        let survivors = [pool[0].clone(), pool[1].clone(), pool[6].clone()];
+        let fresh = build(w2.ctx, &survivors, threads);
+        assert_equivalent(&batch, &fresh, &format!("threads {threads}: compacted"));
+    }
 }
 
 /// The chaos differential gate: concurrent submitters under seeded fault

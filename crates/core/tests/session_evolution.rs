@@ -231,7 +231,7 @@ fn retiring_a_fully_shared_query_keeps_the_universe() {
     assert_equivalent(&batch, &fresh, "retire duplicate of q0");
 }
 
-/// Rollback then re-add: the savepoint rewind must leave the memo in a
+/// Rollback then re-add: the rollback's rebuild must leave the memo in a
 /// state where the *same* query can be admitted again and land on the
 /// same equivalence classes (fingerprint-stable slots are revived, not
 /// duplicated).
@@ -263,9 +263,9 @@ fn add_after_rollback_replays_cleanly() {
     assert_equivalent(&batch, &fresh, "add, rollback, re-add");
 }
 
-/// A long alternating add/retire sequence: exercises savepoint-stack
-/// reuse, tombstone revival, and epoch growth far past any small counter
-/// width, ending equivalent to a fresh build.
+/// A long alternating add/retire sequence: exercises repeated rebuilds,
+/// tombstone revival, and epoch growth far past any small counter width,
+/// ending equivalent to a fresh build.
 #[test]
 fn long_evolution_sequence_stays_equivalent() {
     let w = mqo_tpcd::batched(4, 1.0);

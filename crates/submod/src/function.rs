@@ -1,13 +1,10 @@
-//! Set-function traits and oracle wrappers.
+//! Set-function traits and simple concrete set functions.
 //!
 //! The paper treats `bestCost(Q, S)` — and hence the materialization benefit
 //! `mb(S)` — as a black-box oracle over subsets of the shareable nodes
 //! (Section 2.2: "The bc(S) function ... is treated as a black-box for the
 //! MQO algorithms"). [`SetFunction`] is that black box; everything in
 //! [`crate::algorithms`] is written against it.
-
-use std::cell::Cell;
-use std::collections::HashMap;
 
 use crate::bitset::BitSet;
 
@@ -111,184 +108,6 @@ impl<F: Fn(&BitSet) -> f64> SetFunction for FnSetFunction<F> {
     }
 }
 
-/// Wrapper counting the number of oracle evaluations.
-///
-/// The paper's efficiency claims (Section 5) are about reducing the number of
-/// `bc(S)` invocations; this wrapper is how the benches and tests observe
-/// that number.
-pub struct CountingOracle<F: SetFunction> {
-    inner: F,
-    calls: Cell<u64>,
-}
-
-impl<F: SetFunction> CountingOracle<F> {
-    /// Wraps `inner`, starting the counter at zero.
-    pub fn new(inner: F) -> Self {
-        CountingOracle {
-            inner,
-            calls: Cell::new(0),
-        }
-    }
-
-    /// Number of `eval` calls made so far.
-    pub fn calls(&self) -> u64 {
-        self.calls.get()
-    }
-
-    /// Resets the counter.
-    pub fn reset(&self) {
-        self.calls.set(0);
-    }
-
-    /// Unwraps the inner function.
-    pub fn into_inner(self) -> F {
-        self.inner
-    }
-
-    /// Borrows the inner function.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-impl<F: SetFunction> SetFunction for CountingOracle<F> {
-    fn universe(&self) -> usize {
-        self.inner.universe()
-    }
-    fn eval(&self, set: &BitSet) -> f64 {
-        self.calls.set(self.calls.get() + 1);
-        self.inner.eval(set)
-    }
-    fn eval_many(&self, sets: &[BitSet]) -> Vec<f64> {
-        self.calls.set(self.calls.get() + sets.len() as u64);
-        self.inner.eval_many(sets)
-    }
-}
-
-/// Memoizing wrapper: caches values per set.
-///
-/// Useful when an algorithm revisits the same subsets (e.g. the greedy loop
-/// evaluating `bc(X ∪ {x})` where `X` grows by exactly the previously best
-/// candidate). Unbounded; intended for algorithm-internal lifetimes.
-///
-/// Cache entries are keyed on raw bitsets, whose bit positions are only
-/// meaningful relative to a fixed universe. The wrapper therefore carries a
-/// *universe epoch* stamp ([`MemoizedOracle::set_universe_epoch`]) and
-/// additionally watches `inner.universe()` on every evaluation: if either
-/// changes — an evolvable batch grew, tombstoned, or re-slotted its
-/// shareable universe — the cache is discarded, so a stale value can never
-/// be served for a bitset whose bits now name different elements.
-pub struct MemoizedOracle<F: SetFunction> {
-    inner: F,
-    cache: std::cell::RefCell<HashMap<BitSet, f64>>,
-    /// Externally supplied universe epoch the cache was populated under.
-    epoch: std::cell::Cell<u64>,
-    /// `inner.universe()` as observed when the cache was last (re)used —
-    /// the automatic invalidation signal when no explicit epoch is fed.
-    seen_universe: std::cell::Cell<usize>,
-}
-
-impl<F: SetFunction> MemoizedOracle<F> {
-    /// Wraps `inner` with an empty cache.
-    pub fn new(inner: F) -> Self {
-        let seen_universe = inner.universe();
-        MemoizedOracle {
-            inner,
-            cache: std::cell::RefCell::new(HashMap::new()),
-            epoch: std::cell::Cell::new(0),
-            seen_universe: std::cell::Cell::new(seen_universe),
-        }
-    }
-
-    /// Number of distinct sets cached.
-    pub fn cached_sets(&self) -> usize {
-        self.cache.borrow().len()
-    }
-
-    /// Borrows the inner function.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// The universe epoch the cache is currently valid for.
-    pub fn universe_epoch(&self) -> u64 {
-        self.epoch.get()
-    }
-
-    /// Stamps the oracle with the universe epoch of the state it is about
-    /// to evaluate (e.g. `BatchDag::universe_epoch` after an evolution
-    /// commit). A changed epoch discards every cached value.
-    pub fn set_universe_epoch(&self, epoch: u64) {
-        if self.epoch.replace(epoch) != epoch {
-            self.cache.borrow_mut().clear();
-        }
-    }
-
-    /// Discards the cache if the inner function's universe changed since
-    /// it was populated (resize-based auto-invalidation; catches evolution
-    /// steps that never fed an explicit epoch).
-    fn check_universe(&self) {
-        let n = self.inner.universe();
-        if self.seen_universe.replace(n) != n {
-            self.cache.borrow_mut().clear();
-        }
-    }
-}
-
-impl<F: SetFunction> SetFunction for MemoizedOracle<F> {
-    fn universe(&self) -> usize {
-        self.inner.universe()
-    }
-    fn eval(&self, set: &BitSet) -> f64 {
-        self.check_universe();
-        if let Some(&v) = self.cache.borrow().get(set) {
-            return v;
-        }
-        let v = self.inner.eval(set);
-        self.cache.borrow_mut().insert(set.clone(), v);
-        v
-    }
-    fn eval_many(&self, sets: &[BitSet]) -> Vec<f64> {
-        self.check_universe();
-        // Forward only the distinct cache misses to the inner batch (a
-        // duplicated set costs one inner evaluation, like the eval loop
-        // would pay after its first call), then stitch the results back in
-        // order.
-        let mut out = vec![f64::NAN; sets.len()];
-        let mut miss_slot: HashMap<BitSet, usize> = HashMap::new();
-        let mut miss_sets: Vec<BitSet> = Vec::new();
-        let mut slot_of: Vec<Option<usize>> = vec![None; sets.len()];
-        {
-            let cache = self.cache.borrow();
-            for (i, s) in sets.iter().enumerate() {
-                match cache.get(s) {
-                    Some(&v) => out[i] = v,
-                    None => {
-                        let slot = *miss_slot.entry(s.clone()).or_insert_with(|| {
-                            miss_sets.push(s.clone());
-                            miss_sets.len() - 1
-                        });
-                        slot_of[i] = Some(slot);
-                    }
-                }
-            }
-        }
-        if !miss_sets.is_empty() {
-            let vals = self.inner.eval_many(&miss_sets);
-            let mut cache = self.cache.borrow_mut();
-            for (s, &v) in miss_sets.iter().zip(&vals) {
-                cache.insert(s.clone(), v);
-            }
-            for (i, slot) in slot_of.iter().enumerate() {
-                if let Some(slot) = slot {
-                    out[i] = vals[*slot];
-                }
-            }
-        }
-        out
-    }
-}
-
 /// An additive (modular) function `c(S) = Σ_{e∈S} weights[e]`
 /// (Definition 3 in the paper).
 #[derive(Clone, Debug)]
@@ -387,6 +206,7 @@ pub fn is_normalized<F: SetFunction>(f: &F) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn additive_eval_and_marginal() {
@@ -399,118 +219,17 @@ mod tests {
     }
 
     #[test]
-    fn counting_oracle_counts() {
-        let f = FnSetFunction::new(4, |s: &BitSet| s.len() as f64);
-        let counted = CountingOracle::new(f);
-        let s = BitSet::from_iter(4, [1, 2]);
-        assert_eq!(counted.eval(&s), 2.0);
-        counted.eval(&s);
-        assert_eq!(counted.calls(), 2);
-        counted.reset();
-        assert_eq!(counted.calls(), 0);
-    }
-
-    #[test]
-    fn memoized_oracle_hits_cache() {
-        let f = CountingOracle::new(FnSetFunction::new(4, |s: &BitSet| s.len() as f64));
-        let memo = MemoizedOracle::new(f);
-        let s = BitSet::from_iter(4, [0]);
-        memo.eval(&s);
-        memo.eval(&s);
-        memo.eval(&s);
-        assert_eq!(memo.inner().calls(), 1);
-        assert_eq!(memo.cached_sets(), 1);
-    }
-
-    #[test]
     fn eval_many_matches_eval_loop_and_counts() {
-        let f = CountingOracle::new(FnSetFunction::new(5, |s: &BitSet| s.len() as f64));
+        let calls = Cell::new(0u64);
+        let f = FnSetFunction::new(5, |s: &BitSet| {
+            calls.set(calls.get() + 1);
+            s.len() as f64
+        });
         let sets: Vec<BitSet> = (0..5).map(|e| BitSet::from_iter(5, [e])).collect();
         let batch = f.eval_many(&sets);
         let looped: Vec<f64> = sets.iter().map(|s| f.eval(s)).collect();
         assert_eq!(batch, looped);
-        assert_eq!(f.calls(), 10, "both paths count one call per set");
-    }
-
-    #[test]
-    fn memoized_eval_many_only_forwards_misses() {
-        let f = CountingOracle::new(FnSetFunction::new(4, |s: &BitSet| s.len() as f64));
-        let memo = MemoizedOracle::new(f);
-        let a = BitSet::from_iter(4, [0]);
-        let b = BitSet::from_iter(4, [1, 2]);
-        memo.eval(&a);
-        let vals = memo.eval_many(&[a.clone(), b.clone(), a.clone()]);
-        assert_eq!(vals, vec![1.0, 2.0, 1.0]);
-        // Only `b` was a miss.
-        assert_eq!(memo.inner().calls(), 2);
-        assert_eq!(memo.cached_sets(), 2);
-    }
-
-    /// Inner oracle whose universe and values can be mutated after
-    /// construction, simulating an evolvable batch growing or re-slotting
-    /// its shareable universe under a long-lived memoized wrapper.
-    struct MutableInner {
-        universe: Cell<usize>,
-        scale: Cell<f64>,
-    }
-
-    impl SetFunction for MutableInner {
-        fn universe(&self) -> usize {
-            self.universe.get()
-        }
-        fn eval(&self, set: &BitSet) -> f64 {
-            self.scale.get() * set.len() as f64
-        }
-    }
-
-    #[test]
-    fn memoized_oracle_invalidates_on_universe_resize() {
-        let memo = MemoizedOracle::new(MutableInner {
-            universe: Cell::new(4),
-            scale: Cell::new(1.0),
-        });
-        let s = BitSet::from_iter(4, [0, 2]);
-        assert_eq!(memo.eval(&s), 2.0);
-        assert_eq!(memo.cached_sets(), 1);
-
-        // Same universe: the (now wrong) cached value is served — that is
-        // exactly the memoization contract for a fixed ground set.
-        memo.inner().scale.set(10.0);
-        assert_eq!(memo.eval(&s), 2.0);
-
-        // The universe resized: every cached value must be discarded, so
-        // the fresh inner value comes back instead of the stale 2.0.
-        memo.inner().universe.set(5);
-        assert_eq!(memo.eval(&s), 20.0);
-        assert_eq!(memo.cached_sets(), 1, "stale entries were dropped");
-
-        // eval_many performs the same check.
-        memo.inner().scale.set(100.0);
-        memo.inner().universe.set(6);
-        assert_eq!(memo.eval_many(std::slice::from_ref(&s)), vec![200.0]);
-    }
-
-    #[test]
-    fn memoized_oracle_invalidates_on_epoch_change() {
-        let memo = MemoizedOracle::new(MutableInner {
-            universe: Cell::new(4),
-            scale: Cell::new(1.0),
-        });
-        let s = BitSet::from_iter(4, [1]);
-        assert_eq!(memo.eval(&s), 1.0);
-        memo.inner().scale.set(7.0);
-
-        // Re-stamping the current epoch keeps the cache.
-        memo.set_universe_epoch(memo.universe_epoch());
-        assert_eq!(memo.eval(&s), 1.0);
-        assert_eq!(memo.cached_sets(), 1);
-
-        // A new epoch (same universe *size*, e.g. a tombstoned slot was
-        // revived by a different query) discards the cache.
-        memo.set_universe_epoch(3);
-        assert_eq!(memo.universe_epoch(), 3);
-        assert_eq!(memo.cached_sets(), 0);
-        assert_eq!(memo.eval(&s), 7.0);
+        assert_eq!(calls.get(), 10, "both paths make one call per set");
     }
 
     #[test]

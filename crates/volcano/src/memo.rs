@@ -24,8 +24,11 @@
 //! `(A⋈B)⋈C`, while another query contributed `A⋈(B⋈C)` elsewhere). Groups
 //! are then merged through a union-find, re-hashing affected parents and
 //! cascading further merges — the "unification" of Roy et al.
+//!
+//! The memo is append-only: expressions and groups are added, unioned and
+//! tombstoned, but nothing is ever taken back short of [`Memo::reset`].
+//! A consumer that needs to drop a query rebuilds from the survivors.
 
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::context::{ColId, DagContext};
@@ -116,63 +119,6 @@ impl MemoDelta {
     }
 }
 
-/// A watermark over every memo arena plus a position in the undo log;
-/// handed out by [`Memo::savepoint`] and consumed by [`Memo::truncate_to`]
-/// / [`Memo::release`]. Savepoints form a stack: rolling back to one
-/// invalidates every savepoint taken after it.
-#[derive(Clone, Debug)]
-pub struct Savepoint {
-    /// Unique id, validated against the memo's savepoint stack so a stale
-    /// token (from a rolled-back or reset lineage) can never rewind into a
-    /// rewritten undo log.
-    serial: u64,
-    depth: usize,
-    n_groups: usize,
-    n_exprs: usize,
-    n_child_arena: usize,
-    n_ops: usize,
-    n_roots: usize,
-    undo_len: usize,
-}
-
-/// One reversible mutation of pre-existing memo state, recorded while at
-/// least one savepoint is outstanding. Appends to the arenas are *not*
-/// logged — [`Memo::truncate_to`] drops them by watermark — so the log
-/// only carries the in-place writes `Memo::merge` and targeted inserts
-/// perform.
-#[derive(Debug)]
-enum Undo {
-    /// A merge unioned `slot` away (`uf[slot]` pointed at itself before).
-    UfSet { slot: u32 },
-    /// A merge moved `drop`'s expressions onto the tail of `keep.exprs`
-    /// (starting at `old_len`) and re-owned them.
-    ExprsMoved {
-        keep: GroupId,
-        drop: GroupId,
-        old_len: u32,
-    },
-    /// A merge took `drop.parents` wholesale.
-    ParentsTaken { drop: GroupId, parents: Vec<ExprId> },
-    /// One expression was pushed onto `group.parents`.
-    ParentPushed { group: GroupId },
-    /// One expression was pushed onto `group.exprs` (targeted insert).
-    ExprPushed { group: GroupId },
-    /// A live expression was tombstoned and/or had its stored children
-    /// rewritten in place. `now_indexed` records whether the rewrite left a
-    /// fresh `(op, children)` entry in the hash-consing index that must be
-    /// removed before the old key is restored.
-    Rewritten {
-        e: ExprId,
-        old_children: Vec<GroupId>,
-        was_killed: bool,
-        now_indexed: bool,
-    },
-    /// An insert registered a new producer column.
-    ProducerInserted(ColId),
-    /// The cached batch-root group changed.
-    BatchRootSet { old: Option<GroupId> },
-}
-
 /// The memo structure.
 #[derive(Debug)]
 pub struct Memo {
@@ -203,16 +149,10 @@ pub struct Memo {
     log: ChangeLog,
     /// Open delta window, if any (see [`Memo::delta_begin`]).
     delta: Option<MemoDelta>,
-    /// Reversible in-place mutations, recorded while a savepoint is
-    /// outstanding; replayed newest-first by [`Memo::truncate_to`].
-    undo: Vec<Undo>,
-    /// Serials of outstanding savepoints, oldest first.
-    sp_stack: Vec<u64>,
-    next_sp_serial: u64,
     /// Monotone mutation counter: bumped on every new expression, union,
-    /// tombstone, truncation, and reset. Never decreases — two distinct
-    /// memo states observed by a consumer can never share a version, which
-    /// is what makes it safe as a compile-cache fingerprint component.
+    /// tombstone, and reset. Never decreases — two distinct memo states
+    /// observed by a consumer can never share a version, which is what
+    /// makes it safe as a compile-cache fingerprint component.
     version: u64,
     /// The group produced by [`Memo::build_batch_root`], if built.
     batch_root: Option<GroupId>,
@@ -241,9 +181,6 @@ impl Memo {
             roots: Vec::new(),
             log: ChangeLog::default(),
             delta: None,
-            undo: Vec::new(),
-            sp_stack: Vec::new(),
-            next_sp_serial: 0,
             version: 0,
             batch_root: None,
             rehash_key: Vec::new(),
@@ -254,12 +191,6 @@ impl Memo {
     /// epoch in compile-cache fingerprints.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Whether in-place mutations must be recorded for rollback.
-    #[inline]
-    fn recording(&self) -> bool {
-        !self.sp_stack.is_empty()
     }
 
     /// The shared context.
@@ -471,142 +402,9 @@ impl Memo {
         d
     }
 
-    /// Takes a savepoint: a token [`Memo::truncate_to`] can later rewind
-    /// to, discarding every mutation made in between. While at least one
-    /// savepoint is outstanding the memo records an undo log, so frozen
-    /// (savepoint-free) construction pays nothing.
-    pub fn savepoint(&mut self) -> Savepoint {
-        let serial = self.next_sp_serial;
-        self.next_sp_serial += 1;
-        let depth = self.sp_stack.len();
-        self.sp_stack.push(serial);
-        Savepoint {
-            serial,
-            depth,
-            n_groups: self.groups.len(),
-            n_exprs: self.expr_op.len(),
-            n_child_arena: self.child_arena.len(),
-            n_ops: self.ops.len(),
-            n_roots: self.roots.len(),
-            undo_len: self.undo.len(),
-        }
-    }
-
-    /// Length of the in-place undo log. Non-empty only while savepoints
-    /// are outstanding; together with a batch's entry list this is the
-    /// evolution history a long-lived session accumulates (and what
-    /// re-baselining compacts away).
-    pub fn undo_len(&self) -> usize {
-        self.undo.len()
-    }
-
-    /// Whether a savepoint is still on the stack (it was not rolled past,
-    /// released, or wiped by [`Memo::reset`]).
-    pub fn savepoint_valid(&self, sp: &Savepoint) -> bool {
-        self.sp_stack.get(sp.depth) == Some(&sp.serial)
-    }
-
-    /// Rewinds the memo to the exact state captured by `sp`: undoes every
-    /// recorded in-place mutation newest-first, then truncates the arenas,
-    /// the operator interner, the hash-consing index, and the root list to
-    /// the savepoint's watermarks. Savepoints taken after `sp` become
-    /// invalid.
-    ///
-    /// # Panics
-    /// If `sp` is stale (already rolled past, released, or from a reset
-    /// lineage).
-    pub fn truncate_to(&mut self, sp: &Savepoint) {
-        assert!(self.savepoint_valid(sp), "stale savepoint");
-        self.sp_stack.truncate(sp.depth);
-        while self.undo.len() > sp.undo_len {
-            match self.undo.pop().expect("undo entry") {
-                Undo::UfSet { slot } => self.uf[slot as usize] = slot,
-                Undo::ExprsMoved {
-                    keep,
-                    drop,
-                    old_len,
-                } => {
-                    let tail = self.groups[keep.0 as usize]
-                        .exprs
-                        .split_off(old_len as usize);
-                    for &e in &tail {
-                        self.group_of[e.0 as usize] = drop;
-                    }
-                    self.groups[drop.0 as usize].exprs = tail;
-                }
-                Undo::ParentsTaken { drop, parents } => {
-                    self.groups[drop.0 as usize].parents = parents;
-                }
-                Undo::ParentPushed { group } => {
-                    self.groups[group.0 as usize].parents.pop();
-                }
-                Undo::ExprPushed { group } => {
-                    self.groups[group.0 as usize].exprs.pop();
-                }
-                Undo::Rewritten {
-                    e,
-                    old_children,
-                    was_killed,
-                    now_indexed,
-                } => {
-                    let op = self.expr_op[e.0 as usize];
-                    if now_indexed {
-                        let cur = self.children(e).to_vec();
-                        self.index.remove(&(op, cur));
-                    }
-                    if was_killed {
-                        self.alive[e.0 as usize] = true;
-                    }
-                    let start = self.child_off[e.0 as usize] as usize;
-                    self.child_arena[start..start + old_children.len()]
-                        .copy_from_slice(&old_children);
-                    self.index.insert((op, old_children), e);
-                }
-                Undo::ProducerInserted(col) => {
-                    self.producers.remove(&col);
-                }
-                Undo::BatchRootSet { old } => self.batch_root = old,
-            }
-        }
-        // Appended expressions: drop their index entries, then the arenas.
-        for e in sp.n_exprs..self.expr_op.len() {
-            if self.alive[e] {
-                let key = (self.expr_op[e], self.children(ExprId(e as u32)).to_vec());
-                self.index.remove(&key);
-            }
-        }
-        self.expr_op.truncate(sp.n_exprs);
-        self.alive.truncate(sp.n_exprs);
-        self.group_of.truncate(sp.n_exprs);
-        self.child_off.truncate(sp.n_exprs + 1);
-        self.child_arena.truncate(sp.n_child_arena);
-        self.groups.truncate(sp.n_groups);
-        self.uf.truncate(sp.n_groups);
-        for op in self.ops.drain(sp.n_ops..) {
-            self.op_index.remove(&op);
-        }
-        self.roots.truncate(sp.n_roots);
-        self.version += 1;
-    }
-
-    /// Releases a savepoint without rewinding: the mutations made since
-    /// become permanent. Savepoints taken after `sp` become invalid; once
-    /// no savepoint is outstanding the undo log is discarded.
-    ///
-    /// # Panics
-    /// If `sp` is stale.
-    pub fn release(&mut self, sp: &Savepoint) {
-        assert!(self.savepoint_valid(sp), "stale savepoint");
-        self.sp_stack.truncate(sp.depth);
-        if self.sp_stack.is_empty() {
-            self.undo.clear();
-        }
-    }
-
-    /// Clears every arena, index, root, savepoint, and delta window while
-    /// keeping the context, returning the memo to its freshly-constructed
-    /// state. All outstanding savepoints become invalid. The version
-    /// counter keeps increasing across a reset.
+    /// Clears every arena, index, root, and delta window while keeping the
+    /// context, returning the memo to its freshly-constructed state. The
+    /// version counter keeps increasing across a reset.
     pub fn reset(&mut self) {
         self.groups.clear();
         self.uf.clear();
@@ -623,8 +421,6 @@ impl Memo {
         self.roots.clear();
         self.log = ChangeLog::default();
         self.delta = None;
-        self.undo.clear();
-        self.sp_stack.clear();
         self.batch_root = None;
         self.version += 1;
     }
@@ -725,9 +521,6 @@ impl Memo {
             Some(t) => {
                 let t = self.find(t);
                 self.groups[t.0 as usize].exprs.push(eid);
-                if self.recording() {
-                    self.undo.push(Undo::ExprPushed { group: t });
-                }
                 if let Some(d) = self.delta.as_mut() {
                     d.grown.push(t);
                 }
@@ -742,14 +535,8 @@ impl Memo {
                 if let LogicalOp::Aggregate(spec) = &self.ops[op_id.0 as usize] {
                     // The aggregate's own output is the leaf of its region.
                     props.leaves = vec![Leaf::Agg(gid)];
-                    let recording = self.recording();
                     for call in &spec.aggs {
-                        if let Entry::Vacant(v) = self.producers.entry(call.output) {
-                            v.insert(gid);
-                            if recording {
-                                self.undo.push(Undo::ProducerInserted(call.output));
-                            }
-                        }
+                        self.producers.entry(call.output).or_insert(gid);
                     }
                 }
                 self.groups.push(GroupData {
@@ -764,11 +551,6 @@ impl Memo {
         self.group_of.push(group);
         for &c in &children {
             self.groups[c.0 as usize].parents.push(eid);
-        }
-        if self.recording() {
-            for &c in &children {
-                self.undo.push(Undo::ParentPushed { group: c });
-            }
         }
         self.index.insert((op_id, children), eid);
         self.find(group)
@@ -809,9 +591,6 @@ impl Memo {
             );
             self.uf[drop.0 as usize] = keep.0;
             self.version += 1;
-            if self.recording() {
-                self.undo.push(Undo::UfSet { slot: drop.0 });
-            }
             if let Some(d) = self.delta.as_mut() {
                 d.merges.push((keep, drop));
                 d.grown.push(keep);
@@ -841,35 +620,14 @@ impl Memo {
                     let (_, key_children) = key;
                     self.alive[e.0 as usize] = false;
                     self.version += 1;
-                    if self.recording() {
-                        self.undo.push(Undo::Rewritten {
-                            e,
-                            old_children: key_children.clone(),
-                            was_killed: true,
-                            now_indexed: false,
-                        });
-                    }
                     if let Some(d) = self.delta.as_mut() {
                         d.tombstoned.push(e);
                     }
                     self.rehash_key = key_children;
                 }
             }
-            if self.recording() {
-                self.undo.push(Undo::ExprsMoved {
-                    keep,
-                    drop,
-                    old_len: self.groups[keep.0 as usize].exprs.len() as u32,
-                });
-            }
             self.groups[keep.0 as usize].exprs.extend(dropped_exprs);
             let dropped_parents = std::mem::take(&mut self.groups[drop.0 as usize].parents);
-            if self.recording() {
-                self.undo.push(Undo::ParentsTaken {
-                    drop,
-                    parents: dropped_parents.clone(),
-                });
-            }
 
             // Re-hash every parent whose child list mentioned `drop`.
             for e in dropped_parents {
@@ -887,11 +645,6 @@ impl Memo {
                 let key = (op_id, key_children);
                 self.index.remove(&key);
                 let (_, mut key_children) = key;
-                let old_children = if self.recording() {
-                    Some(key_children.clone())
-                } else {
-                    None
-                };
                 for c in key_children.iter_mut() {
                     *c = self.find(*c);
                 }
@@ -906,14 +659,6 @@ impl Memo {
                 if key_children.contains(&self.group_of(e)) {
                     self.alive[e.0 as usize] = false;
                     self.version += 1;
-                    if let Some(old_children) = old_children {
-                        self.undo.push(Undo::Rewritten {
-                            e,
-                            old_children,
-                            was_killed: true,
-                            now_indexed: false,
-                        });
-                    }
                     if let Some(d) = self.delta.as_mut() {
                         d.tombstoned.push(e);
                     }
@@ -921,21 +666,10 @@ impl Memo {
                     continue;
                 }
                 self.groups[keep.0 as usize].parents.push(e);
-                if self.recording() {
-                    self.undo.push(Undo::ParentPushed { group: keep });
-                }
                 let probe = (op_id, key_children);
                 match self.index.get(&probe).copied() {
                     None => {
                         self.index.insert(probe, e);
-                        if let Some(old_children) = old_children {
-                            self.undo.push(Undo::Rewritten {
-                                e,
-                                old_children,
-                                was_killed: false,
-                                now_indexed: true,
-                            });
-                        }
                         self.version += 1;
                         if self.log.active {
                             self.log.rewritten.push(e);
@@ -944,28 +678,12 @@ impl Memo {
                     Some(canonical) => {
                         self.rehash_key = probe.1;
                         if canonical == e {
-                            if let Some(old_children) = old_children {
-                                self.undo.push(Undo::Rewritten {
-                                    e,
-                                    old_children,
-                                    was_killed: false,
-                                    now_indexed: false,
-                                });
-                            }
                             continue;
                         }
                         // Duplicate of an existing expression: tombstone it
                         // and merge the owning groups.
                         self.alive[e.0 as usize] = false;
                         self.version += 1;
-                        if let Some(old_children) = old_children {
-                            self.undo.push(Undo::Rewritten {
-                                e,
-                                old_children,
-                                was_killed: true,
-                                now_indexed: false,
-                            });
-                        }
                         if let Some(d) = self.delta.as_mut() {
                             d.tombstoned.push(e);
                         }
@@ -1015,9 +733,6 @@ impl Memo {
         assert!(!roots.is_empty(), "no query roots registered");
         let Some(rg) = self.batch_root else {
             let g = self.insert(LogicalOp::Root, roots, None);
-            if self.recording() {
-                self.undo.push(Undo::BatchRootSet { old: None });
-            }
             self.batch_root = Some(g);
             return g;
         };
@@ -1040,19 +755,10 @@ impl Memo {
     /// Tombstones a live expression, removing its hash-consing entry.
     fn tombstone_expr(&mut self, e: ExprId) {
         debug_assert!(self.alive[e.0 as usize]);
-        let old_children = self.children(e).to_vec();
-        let key = (self.expr_op[e.0 as usize], old_children);
+        let key = (self.expr_op[e.0 as usize], self.children(e).to_vec());
         self.index.remove(&key);
         self.alive[e.0 as usize] = false;
         self.version += 1;
-        if self.recording() {
-            self.undo.push(Undo::Rewritten {
-                e,
-                old_children: key.1,
-                was_killed: true,
-                now_indexed: false,
-            });
-        }
         if let Some(d) = self.delta.as_mut() {
             d.tombstoned.push(e);
         }
@@ -1720,129 +1426,6 @@ mod tests {
         vec![q1, q2]
     }
 
-    /// Everything observable about a memo's structure, for exact
-    /// state-restoration assertions.
-    fn state_sig(memo: &Memo) -> (usize, usize, usize, usize, Vec<GroupId>, TopoView) {
-        (
-            memo.exprs_allocated(),
-            memo.n_exprs(),
-            memo.n_groups(),
-            memo.n_interned_ops(),
-            memo.roots(),
-            memo.topo_view(),
-        )
-    }
-
-    #[test]
-    fn truncate_to_restores_pre_savepoint_state_exactly() {
-        use crate::rules::{expand_with, RuleSet};
-        let mut ctx = test_ctx();
-        let queries = two_query_fixture(&mut ctx);
-        let mut memo = Memo::new(ctx);
-        let r1 = memo.insert_plan(&queries[0]);
-        memo.add_query_root(r1);
-        expand_with(&mut memo, &RuleSet::default(), 1);
-        memo.build_batch_root();
-        memo.check_consistency();
-        let before = state_sig(&memo);
-        let v0 = memo.version();
-
-        let sp = memo.savepoint();
-        let r2 = memo.insert_plan(&queries[1]);
-        memo.add_query_root(r2);
-        expand_with(&mut memo, &RuleSet::default(), 1);
-        memo.build_batch_root();
-        memo.check_consistency();
-        assert_ne!(state_sig(&memo), before, "fixture must actually mutate");
-        assert!(memo.version() > v0);
-
-        memo.truncate_to(&sp);
-        memo.check_consistency();
-        assert_eq!(state_sig(&memo), before);
-        assert!(!memo.savepoint_valid(&sp));
-        assert!(memo.version() > v0, "version is monotone across a rollback");
-    }
-
-    #[test]
-    fn nested_savepoints_rewind_in_lifo_order() {
-        let mut ctx = test_ctx();
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let ja = ctx.col(a, "a_key");
-        let jb = ctx.col(b, "b_x");
-        let mut memo = Memo::new(ctx);
-        memo.insert(LogicalOp::Scan(a), vec![], None);
-        let sp1 = memo.savepoint();
-        let gb = memo.insert(LogicalOp::Scan(b), vec![], None);
-        let sp2 = memo.savepoint();
-        let ga = memo.insert(LogicalOp::Scan(a), vec![], None);
-        memo.insert(LogicalOp::Join(Predicate::join(ja, jb)), vec![ga, gb], None);
-        memo.truncate_to(&sp2);
-        assert_eq!(memo.n_groups(), 2);
-        assert!(memo.savepoint_valid(&sp1));
-        memo.truncate_to(&sp1);
-        assert_eq!(memo.n_groups(), 1);
-        memo.check_consistency();
-    }
-
-    #[test]
-    #[should_panic(expected = "stale savepoint")]
-    fn rolled_past_savepoint_is_stale() {
-        let mut ctx = test_ctx();
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let mut memo = Memo::new(ctx);
-        memo.insert(LogicalOp::Scan(a), vec![], None);
-        let sp1 = memo.savepoint();
-        memo.insert(LogicalOp::Scan(b), vec![], None);
-        let sp2 = memo.savepoint();
-        memo.truncate_to(&sp1);
-        memo.truncate_to(&sp2); // sp2 died when sp1 rewound
-    }
-
-    #[test]
-    fn truncate_rewinds_merge_damage() {
-        // A savepoint taken before an explicit merge (the hardest mutation
-        // to undo: union, expr transfer, parent rewrites, tombstones,
-        // cascades) must restore the exact pre-merge structure.
-        let mut ctx = test_ctx();
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let c = ctx.instance_by_name("c", 0);
-        let ja = ctx.col(a, "a_key");
-        let jb = ctx.col(b, "b_x");
-        let jb2 = ctx.col(b, "b_key");
-        let jc = ctx.col(c, "c_key");
-        let mut memo = Memo::new(ctx);
-        let ab1 =
-            memo.insert_plan(&PlanNode::scan(a).join(PlanNode::scan(b), Predicate::join(ja, jb)));
-        memo.insert_plan(
-            &PlanNode::scan(a)
-                .join(PlanNode::scan(b), Predicate::join(ja, jb))
-                .join(PlanNode::scan(c), Predicate::join(jb2, jc)),
-        );
-        let sel = Predicate::on(jb2, Constraint::range(Some(0), Some(1_999)));
-        let ab2 = {
-            let j = memo.find(ab1);
-            memo.insert(LogicalOp::Select(sel), vec![j], None)
-        };
-        let gc = memo.insert(LogicalOp::Scan(c), vec![], None);
-        memo.insert(
-            LogicalOp::Join(Predicate::join(jb2, jc)),
-            vec![ab2, gc],
-            None,
-        );
-        memo.check_consistency();
-        let before = state_sig(&memo);
-        let sp = memo.savepoint();
-        memo.merge(ab1, ab2); // cascades into the two parent joins
-        memo.check_consistency();
-        assert_ne!(state_sig(&memo), before);
-        memo.truncate_to(&sp);
-        memo.check_consistency();
-        assert_eq!(state_sig(&memo), before);
-    }
-
     #[test]
     fn reset_keeps_context_and_version_monotone() {
         let mut ctx = test_ctx();
@@ -1851,11 +1434,9 @@ mod tests {
         let r = memo.insert_plan(&queries[0]);
         memo.add_query_root(r);
         memo.build_batch_root();
-        let sp = memo.savepoint();
         let v = memo.version();
         memo.reset();
         assert!(memo.version() > v);
-        assert!(!memo.savepoint_valid(&sp));
         assert_eq!(memo.exprs_allocated(), 0);
         assert_eq!(memo.n_groups(), 0);
         assert!(memo.roots().is_empty());

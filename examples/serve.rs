@@ -34,7 +34,9 @@ fn main() {
         .build()
         .serve_with(ServeConfig {
             strategy: Strategy::MarginalGreedy,
-            // Re-baseline once tombstoned history outgrows this.
+            // Drop retired provenance entries once the history (live plus
+            // retired queries) outgrows this; compaction leaves the memo as
+            // it is, so it never re-expands.
             history_watermark: 64,
             // Keep the 4 highest-marginal-benefit materializations warm.
             cache_capacity: 4,

@@ -49,9 +49,10 @@ check_bench_baselines() {
         done
     done
     # The opt_time baseline must include the session_evolve series
-    # (add/retire vs rebuild on the evolvable-session API) — a recording
-    # run that silently dropped it would leave the incremental-admission
-    # speedup claim unbacked.
+    # (add/retire vs rebuild on the evolvable-session API; retire rebuilds
+    # the survivors, so its op tracks the rebuild) — a recording run that
+    # silently dropped it would leave the incremental-admission speedup
+    # claim and the retire cost unbacked.
     if [[ -e BENCH_opt_time.json ]] && ! grep -q '"session_evolve"' BENCH_opt_time.json; then
         echo "ERROR: BENCH_opt_time.json is missing the session_evolve series" >&2
         exit 1
