@@ -11,7 +11,17 @@
 //!   per-caller engine handles — they never block the writer, and a
 //!   reader holding an old snapshot keeps a fully consistent frozen view
 //!   while the batch evolves underneath (snapshot isolation by
-//!   immutability).
+//!   immutability);
+//! - **one optimization per snapshot** — a snapshot is immutable and
+//!   [`EngineState::run`] is a pure function of (snapshot, strategy,
+//!   config), so the service optimizes each published snapshot at most
+//!   once with its configured [`ServeConfig::strategy`] and session
+//!   [`MqoConfig`]. The report is published beside the snapshot and
+//!   replaced with it: the writer fills it while refreshing the
+//!   materialization cache, otherwise the first reader does, and every
+//!   later [`MqoService::run`] returns a copy. A served report's
+//!   [`RunReport::opt_time`] is therefore the one-off cost of optimizing
+//!   that snapshot, not the latency of the call that returned it.
 //!
 //! Admission uses *flat combining*: [`MqoService::submit_query`] enqueues
 //! the plan and then takes the writer lock. Whichever submitter gets the
@@ -71,13 +81,15 @@
 //!   [`MqoService::run_class`] caps the strategy's wall-clock with it and
 //!   the resulting [`RunReport`] carries a
 //!   [`crate::strategies::GapCertificate`] bounding what the truncation
-//!   may have cost.
+//!   may have cost. A budgeted read of a snapshot whose shared report is
+//!   already filled gets that converged report instead; a truncated
+//!   report is never shared.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 use mqo_submod::bitset::BitSet;
@@ -109,7 +121,8 @@ enum LockRank {
     Writer,
     /// [`MqoService::pending`], the admission queue.
     Queue,
-    /// [`MqoService::published`], the snapshot slot.
+    /// [`MqoService::published`], the snapshot slot (snapshot plus its
+    /// shared report).
     Published,
     /// [`MqoService::cache`], the materialization cache.
     Cache,
@@ -237,7 +250,8 @@ pub struct ServeConfig {
     pub history_watermark: usize,
     /// Capacity of the materialization cache. Defaults to 0 (disabled):
     /// plain admission then skips the strategy run and oracle scoring the
-    /// cache refresh costs.
+    /// cache refresh costs, and the first reader of each snapshot pays
+    /// for its optimization instead of the writer.
     pub cache_capacity: usize,
     /// Optional per-[`PriorityClass`] optimization budget, indexed by the
     /// class discriminant. [`MqoService::run_class`] caps
@@ -304,6 +318,24 @@ struct PendingSubmit {
     slot: Arc<Mutex<Option<Result<QueryTicket, MqoError>>>>,
 }
 
+/// A published snapshot and the service's one optimization of it: the
+/// configured strategy's report under the session configuration, empty
+/// until the writer's cache refresh or the first reader fills it. The two
+/// are published, and replaced, together.
+struct Published {
+    state: Arc<EngineState>,
+    report: OnceLock<RunReport>,
+}
+
+impl Published {
+    fn new(state: Arc<EngineState>) -> Arc<Self> {
+        Arc::new(Published {
+            state,
+            report: OnceLock::new(),
+        })
+    }
+}
+
 /// One retained materialization: the structural fingerprint of its
 /// shareable group (stable across evolution commits) and its last
 /// leave-one-out benefit under the `bestCost` oracle.
@@ -322,9 +354,10 @@ pub struct MqoService {
     /// The admission queue; drained in rounds by whichever submitter holds
     /// the writer lock.
     pending: Mutex<Vec<PendingSubmit>>,
-    /// The latest published snapshot; replaced (never mutated) on every
+    /// The latest published snapshot and its shared report; replaced
+    /// (never mutated, apart from filling the report once) on every
     /// commit, before the writer lock is released.
-    published: Mutex<Arc<EngineState>>,
+    published: Mutex<Arc<Published>>,
     /// The materialization cache (empty when disabled).
     cache: Mutex<Vec<MatEntry>>,
     /// Lock-free validation snapshot of the session's context; consulted
@@ -344,7 +377,7 @@ impl MqoService {
     pub(crate) fn new(batch: OptimizedBatch, config: ServeConfig) -> Self {
         let mqo_config = batch.config();
         let validator = PlanValidator::new(batch.batch().memo().ctx());
-        let published = batch.snapshot();
+        let published = Published::new(batch.snapshot());
         MqoService {
             core: Mutex::new(batch),
             pending: Mutex::new(Vec::new()),
@@ -375,33 +408,71 @@ impl MqoService {
     /// optimize against it with [`EngineState::run`] or spin up a
     /// per-caller engine handle with [`EngineState::engine`].
     pub fn snapshot(&self) -> Arc<EngineState> {
-        Arc::clone(&relock(&self.published, LockRank::Published))
+        Arc::clone(&self.published().state)
     }
 
-    /// Optimizes the latest snapshot with the configured strategy.
+    /// The configured strategy's report on the latest snapshot: apart from
+    /// its timings, bitwise what a fresh `snapshot().run(strategy,
+    /// config)` returns. Each
+    /// snapshot is optimized at most once: the first call after a publish
+    /// (or the writer's cache refresh) runs the strategy and every later
+    /// call returns a copy, so [`RunReport::opt_time`] is the one-off cost
+    /// of optimizing this snapshot. A panic inside that run leaves the
+    /// report unfilled, and the next call retries.
     pub fn run(&self) -> RunReport {
-        self.snapshot().run(self.config.strategy, self.mqo_config)
+        self.shared_report(&self.published())
     }
 
-    /// Optimizes the latest snapshot with an explicit strategy.
+    /// Optimizes the latest snapshot with an explicit strategy; the
+    /// configured strategy shares [`MqoService::run`]'s report.
     pub fn run_with(&self, strategy: Strategy) -> RunReport {
+        if strategy == self.config.strategy {
+            return self.run();
+        }
         self.snapshot().run(strategy, self.mqo_config)
     }
 
     /// Optimizes the latest snapshot with the configured strategy under
-    /// `class`'s deadline budget ([`ServeConfig::class_budgets`]). With a
-    /// budget set, the greedy run stops at the deadline and the report's
-    /// [`RunReport::gap_certificate`] bounds what the truncation may have
-    /// cost; without one this is [`MqoService::run`].
+    /// `class`'s deadline budget ([`ServeConfig::class_budgets`]); without
+    /// one this is [`MqoService::run`]. A budgeted class receives the
+    /// snapshot's shared report when it is already filled: no deadline
+    /// cut that run short, so its [`RunReport::gap_certificate`] is at
+    /// least as tight as a budgeted run's. Otherwise the greedy run stops
+    /// at the deadline, the certificate bounds what the truncation may
+    /// have cost, and the report is never shared.
     pub fn run_class(&self, class: PriorityClass) -> RunReport {
-        let mut config = self.mqo_config;
-        if let Some(budget) = self.config.class_budgets[class as usize] {
-            config.time_budget = Some(match config.time_budget {
-                Some(session) => session.min(budget),
-                None => budget,
-            });
+        let Some(budget) = self.config.class_budgets[class as usize] else {
+            return self.run();
+        };
+        let published = self.published();
+        if let Some(report) = published.report.get() {
+            return report.clone();
         }
-        self.snapshot().run(self.config.strategy, config)
+        let mut config = self.mqo_config;
+        config.time_budget = Some(config.time_budget.map_or(budget, |s| s.min(budget)));
+        published.state.run(self.config.strategy, config)
+    }
+
+    fn published(&self) -> Arc<Published> {
+        Arc::clone(&relock(&self.published, LockRank::Published))
+    }
+
+    /// `published`'s shared report, optimizing its snapshot if no one has
+    /// yet. Readers racing on an empty report each run the (deterministic)
+    /// strategy and the first to finish stores it. A report a session
+    /// [`MqoConfig::time_budget`] may have cut short is returned but never
+    /// stored: a later reader on a less loaded machine may converge.
+    fn shared_report(&self, published: &Published) -> RunReport {
+        if let Some(report) = published.report.get() {
+            return report.clone();
+        }
+        let report = published.state.run(self.config.strategy, self.mqo_config);
+        let converged = self.mqo_config.time_budget.is_none()
+            || report.gap_certificate.is_some_and(|c| !c.truncated);
+        if converged {
+            let _ = published.report.set(report.clone());
+        }
+        report
     }
 
     /// The service configuration.
@@ -692,18 +763,18 @@ impl MqoService {
                 core.compact_history();
                 self.counters.compactions.fetch_add(1, Ordering::Relaxed);
             }
-            let state = core.snapshot();
+            let next = Published::new(core.snapshot());
             if self.config.cache_capacity > 0 {
-                self.refresh_cache(core, &state);
+                self.refresh_cache(core, &next);
             }
-            state
+            next
         }));
         match published {
-            Ok(state) => {
+            Ok(next) => {
                 // Publish before resolving slots (and before releasing the
                 // writer lock): a submitter whose slot resolves Ok cannot
                 // wake up to a snapshot older than its own admission.
-                *relock(&self.published, LockRank::Published) = state;
+                *relock(&self.published, LockRank::Published) = next;
                 for (p, t) in fills {
                     *relock(&p.slot, LockRank::Slot) = Some(Ok(t));
                 }
@@ -728,14 +799,15 @@ impl MqoService {
 
     /// Refreshes the materialization cache against the new commit: drops
     /// entries whose group left the universe, folds in the configured
-    /// strategy's chosen set, re-scores every entry by its leave-one-out
-    /// benefit `bc(C∖{e}) − bc(C)`, and evicts non-positive scores plus
-    /// the smallest scores past capacity.
-    fn refresh_cache(&self, core: &OptimizedBatch, state: &Arc<EngineState>) {
+    /// strategy's chosen set (the snapshot's shared report, which this
+    /// fills before the snapshot is published), re-scores every entry by
+    /// its leave-one-out benefit `bc(C∖{e}) − bc(C)`, and evicts
+    /// non-positive scores plus the smallest scores past capacity.
+    fn refresh_cache(&self, core: &OptimizedBatch, next: &Published) {
         let fps = core.batch().shareable_fingerprints();
         let elem_of_fp: HashMap<u64, usize> =
             fps.iter().enumerate().map(|(i, &f)| (f, i)).collect();
-        let report = state.run(self.config.strategy, self.mqo_config);
+        let report = self.shared_report(next);
 
         let mut cache = relock(&self.cache, LockRank::Cache);
         cache.retain(|e| elem_of_fp.contains_key(&e.fingerprint));
@@ -758,7 +830,7 @@ impl MqoService {
         }
 
         let elems: Vec<usize> = cache.iter().map(|c| elem_of_fp[&c.fingerprint]).collect();
-        let scores = leave_one_out_scores(&mut state.engine(self.mqo_config), &elems);
+        let scores = leave_one_out_scores(&mut next.state.engine(self.mqo_config), &elems);
         for (entry, score) in cache.iter_mut().zip(scores) {
             entry.score = score;
         }

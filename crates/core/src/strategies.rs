@@ -92,7 +92,8 @@ pub struct GapCertificate {
     /// consolidated cost. Can be ≤ 0 when the benefit bound is loose (the
     /// ratio is then reported as `+∞`).
     pub cost_lower_bound: f64,
-    /// `total_cost / cost_lower_bound`: the certified approximation ratio
+    /// `total_cost / cost_lower_bound`, clamped to at least `1.0` against
+    /// rounding: the certified approximation ratio
     /// of the returned plan — the plan is within this factor of the best
     /// plan any materialization choice could reach. `1.0` means certified
     /// optimal (over the candidate set, under the heuristic); `+∞` means
@@ -283,8 +284,12 @@ pub(crate) fn run_strategy(
     let gap_certificate = anytime.map(|out| {
         let benefit_bound = out.value + out.remaining_bound;
         let cost_lower_bound = volcano_cost - benefit_bound;
+        // Exactly, `cost_lower_bound ≤ total_cost`. The greedy's running
+        // value sums its marginals in pick order while `total_cost` is one
+        // `bc(S)`, so a converged quotient can round an ulp below 1; a
+        // plan cannot beat the optimum, so the ratio is clamped to 1.
         let ratio = if cost_lower_bound > 0.0 {
-            total_cost / cost_lower_bound
+            (total_cost / cost_lower_bound).max(1.0)
         } else {
             f64::INFINITY
         };

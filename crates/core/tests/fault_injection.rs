@@ -14,7 +14,9 @@
 //! - pre-admission validation rejects malformed plans at the door,
 //!   before they can enter a round shared with healthy submitters;
 //! - deadline budgets degrade to certified partial optimizations instead
-//!   of failing.
+//!   of failing;
+//! - the report a service shares per snapshot is only ever a completed,
+//!   converged run: a reader panic or a budgeted read leaves it unfilled.
 //!
 //! Failpoints are thread-local: each test arms on its own thread, so the
 //! suite is safe under the default parallel test runner, and
@@ -26,7 +28,7 @@ use std::time::Duration;
 use mqo_core::fault::{self, FaultSite};
 use mqo_core::session::{OptimizedBatch, Session};
 use mqo_core::strategies::Strategy;
-use mqo_core::{MqoError, PlanFault, PriorityClass, ServeConfig};
+use mqo_core::{MqoConfig, MqoError, PlanFault, PriorityClass, ServeConfig};
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::{DagContext, InstanceId, PlanNode};
 
@@ -281,5 +283,71 @@ fn class_budgets_degrade_to_certified_partial_runs() {
     let full_cert = full.gap_certificate.expect("converged runs certify too");
     assert!(!full_cert.truncated);
     assert!(full.total_cost <= degraded.total_cost + 1e-9);
+    drop(service.finish());
+}
+
+/// A reader whose optimization panics (oracle fault on the reader thread,
+/// cache off so no writer ever filled the report) leaves the snapshot's
+/// shared report unfilled: the next reader re-runs and gets the same
+/// answer as a fresh run, and that run fills it.
+#[test]
+fn reader_panic_leaves_the_shared_report_unfilled() {
+    let w = mqo_tpcd::batched(4, 1.0);
+    let service = build(w.ctx, &w.queries).serve();
+    let reference = service
+        .snapshot()
+        .run(Strategy::MarginalGreedy, MqoConfig::serial());
+
+    fault::arm(FaultSite::OracleEval, 1);
+    let caught = catch_unwind(AssertUnwindSafe(|| service.run()));
+    fault::disarm_all();
+    assert!(
+        caught.is_err(),
+        "armed oracle fault must fire in the reader"
+    );
+
+    let after = service.run();
+    assert_eq!(after.total_cost.to_bits(), reference.total_cost.to_bits());
+    assert_eq!(after.materialized, reference.materialized);
+    assert_eq!(after.bc_calls, reference.bc_calls);
+    // The retry filled the report: the next read runs no oracle call.
+    fault::arm(FaultSite::OracleEval, 1);
+    let shared = service.run();
+    fault::disarm_all();
+    assert_eq!(shared.total_cost.to_bits(), reference.total_cost.to_bits());
+    drop(service.finish());
+}
+
+/// A budgeted read on a snapshot nobody has optimized yet runs under its
+/// own deadline and never stores its truncated report; once an unbudgeted
+/// read has filled the shared report, the budgeted class receives that
+/// converged report instead.
+#[test]
+fn budgeted_reads_never_fill_the_shared_report() {
+    let w = mqo_tpcd::batched(4, 1.0);
+    let service = build(w.ctx, &w.queries).serve_with(ServeConfig {
+        class_budgets: [Some(Duration::ZERO), None, None],
+        ..ServeConfig::default()
+    });
+    let reference = service
+        .snapshot()
+        .run(Strategy::MarginalGreedy, MqoConfig::serial());
+
+    let degraded = service.run_class(PriorityClass::Interactive);
+    let cert = degraded.gap_certificate.expect("greedy runs certify");
+    assert!(
+        cert.truncated,
+        "zero budget on an empty report must truncate"
+    );
+
+    let full = service.run();
+    assert!(!full.gap_certificate.expect("certified").truncated);
+    assert_eq!(full.total_cost.to_bits(), reference.total_cost.to_bits());
+    assert_eq!(full.materialized, reference.materialized);
+
+    let shared = service.run_class(PriorityClass::Interactive);
+    assert!(!shared.gap_certificate.expect("certified").truncated);
+    assert_eq!(shared.total_cost.to_bits(), full.total_cost.to_bits());
+    assert_eq!(shared.materialized, full.materialized);
     drop(service.finish());
 }

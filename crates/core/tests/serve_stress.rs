@@ -15,7 +15,10 @@
 //! land underneath), the re-baselining bound (after
 //! `compact_history` the evolution history depends only on the live
 //! query count, not on how many add/retire cycles preceded it), and the
-//! materialization cache's capacity bound and determinism.
+//! materialization cache's capacity bound and determinism, and the
+//! shared report: `MqoService::run` answers with the one optimization of
+//! the published snapshot, bitwise a fresh run of it, replaced on every
+//! publish.
 //!
 //! `scripts/verify.sh` runs this file under both `MQO_THREADS=1` and
 //! `MQO_THREADS=4`; the engine-side thread sweep below is explicit.
@@ -26,7 +29,9 @@ use std::time::Duration;
 use mqo_core::fault::{self, FaultSite};
 use mqo_core::session::Session;
 use mqo_core::strategies::Strategy;
-use mqo_core::{MqoConfig, MqoError, OptimizedBatch, PriorityClass, ServeConfig};
+use mqo_core::{
+    MqoConfig, MqoError, MqoService, OptimizedBatch, PriorityClass, RunReport, ServeConfig,
+};
 use mqo_submod::prng::Prng;
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::{DagContext, PlanNode};
@@ -585,5 +590,64 @@ fn materialization_cache_is_bounded_and_deterministic() {
         );
         // The survivor is the highest-benefit entry of the wide run.
         assert_eq!(narrow.first(), wide.first());
+    }
+}
+
+/// Every observable of a report that must not depend on whether it was
+/// shared or freshly run: exact cost bits, the chosen set, oracle calls,
+/// universe size and the extracted plan (its `Debug` form prints every
+/// cost exactly).
+fn report_bits(r: &RunReport) -> String {
+    format!(
+        "total {:#x} mats {:?} bc_calls {} universe {} plan {:?}",
+        r.total_cost.to_bits(),
+        r.materialized,
+        r.bc_calls,
+        r.universe,
+        r.plan
+    )
+}
+
+/// The shared report is bitwise a fresh run of the published snapshot,
+/// `run_with(config.strategy)` shares it, and a publish (admission or
+/// retirement) replaces it with the new snapshot's — with the writer
+/// filling it (cache on) or the first reader (cache off).
+#[test]
+fn shared_report_equals_a_fresh_run_and_is_replaced_on_publish() {
+    for threads in THREADS {
+        for cache_capacity in [0, 4] {
+            let w = mqo_tpcd::batched(4, 1.0);
+            let pool = w.queries.clone();
+            let service = build(w.ctx, &pool[..3], threads).serve_with(ServeConfig {
+                cache_capacity,
+                ..ServeConfig::default()
+            });
+            let strategy = service.config().strategy;
+            let config = MqoConfig {
+                threads,
+                ..MqoConfig::default()
+            };
+            let label = format!("threads={threads} cache={cache_capacity}");
+            let check = |service: &MqoService, queries: usize| {
+                let fresh = service.snapshot().run(strategy, config);
+                assert_eq!(fresh.plan.query_plans.len(), queries, "{label}");
+                let shared = service.run();
+                assert_eq!(report_bits(&shared), report_bits(&fresh), "{label}");
+                // The second read is served from the snapshot's report:
+                // an armed oracle fault would fire on any re-run.
+                fault::arm(FaultSite::OracleEval, 1);
+                let again = service.run_with(strategy);
+                fault::disarm_all();
+                assert_eq!(report_bits(&again), report_bits(&fresh), "{label}");
+                assert_eq!(again.opt_time, shared.opt_time, "{label}");
+            };
+
+            check(&service, 3);
+            let t = service.submit_query(pool[3].clone());
+            check(&service, 4);
+            service.retire_query(t);
+            check(&service, 3);
+            drop(service.finish());
+        }
     }
 }

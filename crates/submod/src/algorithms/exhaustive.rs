@@ -6,7 +6,7 @@
 use crate::bitset::BitSet;
 use crate::function::SetFunction;
 
-/// Maximum candidate count accepted by the exhaustive routines.
+/// Maximum candidate count accepted by [`exhaustive_max`].
 const MAX_EXHAUSTIVE: usize = 25;
 
 /// Finds `argmax_{S ⊆ candidates} f(S)` by enumeration.
@@ -15,19 +15,6 @@ const MAX_EXHAUSTIVE: usize = 25;
 /// result is deterministic. Panics if `candidates` has more than 25
 /// elements.
 pub fn exhaustive_max<F: SetFunction>(f: &F, candidates: &BitSet) -> (BitSet, f64) {
-    exhaustive_max_filtered(f, candidates, |_| true)
-}
-
-/// Exhaustive maximum over subsets of size at most `k`.
-pub fn exhaustive_max_k<F: SetFunction>(f: &F, candidates: &BitSet, k: usize) -> (BitSet, f64) {
-    exhaustive_max_filtered(f, candidates, |s| s.len() <= k)
-}
-
-fn exhaustive_max_filtered<F: SetFunction>(
-    f: &F,
-    candidates: &BitSet,
-    admit: impl Fn(&BitSet) -> bool,
-) -> (BitSet, f64) {
     let elems: Vec<usize> = candidates.iter().collect();
     let m = elems.len();
     assert!(
@@ -36,20 +23,13 @@ fn exhaustive_max_filtered<F: SetFunction>(
     );
     let n = f.universe();
     let mut best_set = BitSet::empty(n);
-    let mut best_val = if admit(&best_set) {
-        f.eval(&best_set)
-    } else {
-        f64::NEG_INFINITY
-    };
+    let mut best_val = f.eval(&best_set);
     for mask in 1u64..(1u64 << m) {
         let mut s = BitSet::empty(n);
         for (i, &e) in elems.iter().enumerate() {
             if mask >> i & 1 == 1 {
                 s.insert(e);
             }
-        }
-        if !admit(&s) {
-            continue;
         }
         let v = f.eval(&s);
         // total_cmp: deterministic under -0.0; ties keep the
@@ -79,17 +59,6 @@ mod tests {
         let (set, val) = exhaustive_max(&f, &BitSet::full(5));
         assert_eq!(set, BitSet::from_iter(5, [0, 2, 4]));
         assert_eq!(val, 4.5);
-    }
-
-    #[test]
-    fn k_constrained_optimum() {
-        let f = FnSetFunction::new(4, |s: &BitSet| {
-            let w = [3.0, 2.0, 1.0, 0.5];
-            s.iter().map(|e| w[e]).sum()
-        });
-        let (set, val) = exhaustive_max_k(&f, &BitSet::full(4), 2);
-        assert_eq!(set, BitSet::from_iter(4, [0, 1]));
-        assert_eq!(val, 5.0);
     }
 
     #[test]

@@ -62,6 +62,11 @@ impl Default for Config {
 /// `f_M = f + c`. Use [`Decomposition::canonical`] for the guarantee of
 /// Theorem 1; any valid decomposition yields a correct (if possibly weaker)
 /// algorithm.
+///
+/// The paper remarks (end of Section 3.1) that Sviridenko's knapsack ratio
+/// greedy run with budget `c(Θ)`, for `Θ` an optimal set, picks the same
+/// set; since `c(Θ)` is unknown in advance, MarginalGreedy replaces the
+/// budget check with the ratio-above-1 stopping rule.
 pub fn marginal_greedy<F: SetFunction>(
     f: &F,
     decomp: &Decomposition,

@@ -6,7 +6,6 @@ pub mod cardinality;
 pub mod cleanup;
 pub mod exhaustive;
 pub mod greedy;
-pub mod knapsack;
 pub mod lazy;
 pub mod marginal_greedy;
 

@@ -19,12 +19,16 @@
 #      hashmap-iter-determinism, banned-api, forbid-unsafe-attr) and any
 #      finding fails the gate — this subsumes the old grep checks for
 #      poisoning lock sites and removed free functions
-#   6. one smoke iteration of each bench target via the in-repo harness
+#   6. the repository benchmark's smoke test (`mqobench/`, its own
+#      package outside the workspace): it builds against the workspace
+#      crates' public API, so a serving or session API change that breaks
+#      the benchmark fails here rather than at benchmark time
+#   7. one smoke iteration of each bench target via the in-repo harness
 #      (`mqo_bench::timing`), plus the `scale_sweep --big` example, which
 #      asserts that the calibrated 10k-candidate instance still exceeds
 #      10k candidates
 #
-# `scripts/verify.sh --bench-smoke` skips 1-5 and runs only the bench
+# `scripts/verify.sh --bench-smoke` skips 1-6 and runs only the bench
 # smoke, additionally recording the bc_oracle, memo_expand and opt_time
 # series to BENCH_*.json at the repo root. Every entry carries its sample
 # count and spread (`n`, `min`, `median`, `max`), the engine's `threads`
@@ -110,6 +114,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q
 
 echo "==> mqo-lint (six invariant rules; any finding fails the gate)"
 cargo run --offline --release -q -p mqo-lint -- --json
+
+echo "==> mqobench smoke test (the benchmark builds and runs against the workspace API)"
+cargo test --release --offline --manifest-path mqobench/Cargo.toml
 
 bench_smoke
 

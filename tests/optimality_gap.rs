@@ -212,6 +212,35 @@ fn budgeted_runs_certify_validly() {
     }
 }
 
+/// A converged certificate never reads below 1, even where the greedy's
+/// running value and `bc(S)` round apart: every sub-batch of BQ4, at
+/// threads 1 and 4 (several of them once certified 0.9999999999999999).
+#[test]
+fn converged_certificates_never_certify_below_one() {
+    let pool = mqo_tpcd::batched(4, 1.0).queries;
+    for mask in 1u32..(1 << pool.len()) {
+        let w = mqo_tpcd::batched(4, 1.0);
+        let queries = (0..pool.len())
+            .filter(|i| mask >> i & 1 == 1)
+            .map(|i| pool[i].clone());
+        let batch = Session::builder()
+            .context(w.ctx)
+            .queries(queries)
+            .cost_model(DiskCostModel::paper())
+            .build();
+        for threads in [1usize, 4] {
+            let r = batch.run_with(Strategy::MarginalGreedy, MqoConfig::with_threads(threads));
+            let cert = r.gap_certificate.expect("greedy runs certify");
+            assert!(!cert.truncated);
+            assert!(
+                cert.ratio >= 1.0,
+                "sub-batch {mask:#b} threads {threads}: certified ratio {} below 1",
+                cert.ratio
+            );
+        }
+    }
+}
+
 #[test]
 fn exhaustive_never_beats_bc_empty_without_reason() {
     // Sanity: the exhaustive optimum is at most bc(∅) (the empty set is a
