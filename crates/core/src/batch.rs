@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use mqo_volcano::cost::CostModel;
+use mqo_volcano::fphash::FpHasher;
 use mqo_volcano::logical::LogicalOp;
 use mqo_volcano::memo::{GroupId, Memo, MemoDelta, TopoView};
 use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
@@ -782,64 +783,6 @@ fn group_fingerprints(memo: &Memo, groups: &[GroupId]) -> Vec<u64> {
         .iter()
         .map(|&g| fp[memo.find(g).0 as usize])
         .collect()
-}
-
-/// Multiply-xor hasher for structural fingerprints. Every evolution
-/// commit hashes every live expression in the memo, and at that grain
-/// SipHash's per-hasher setup cost is the dominant term. Fingerprints
-/// never key untrusted input, so DoS resistance is not required — only
-/// 64-bit spread, which the Fx-style mix provides.
-#[derive(Default)]
-struct FpHasher(u64);
-
-impl FpHasher {
-    #[inline]
-    fn mix(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl std::hash::Hasher for FpHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, mut bytes: &[u8]) {
-        while bytes.len() >= 8 {
-            self.mix(u64::from_le_bytes(bytes[..8].try_into().unwrap()));
-            bytes = &bytes[8..];
-        }
-        if !bytes.is_empty() {
-            let mut rest = [0u8; 8];
-            rest[..bytes.len()].copy_from_slice(bytes);
-            // Length is folded in so a short tail never aliases its own
-            // zero-padding (std Hash impls already delimit variable-length
-            // data, this is belt and braces).
-            self.mix(u64::from_le_bytes(rest) ^ ((bytes.len() as u64) << 56));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.mix(i as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.mix(i as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
 }
 
 /// Dense canonical-group-slot → universe-element map behind

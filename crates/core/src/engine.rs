@@ -54,9 +54,17 @@
 //! shared intersection and then fans the candidates out over
 //! `std::thread::scope` workers, each with its own scratch over `&self`'s
 //! shared arenas. Every candidate is evaluated from the same committed
-//! base (no cross-candidate base drift in sharded mode), and the overlay
-//! DP is bit-exact with respect to the full solve, so sharded results are
+//! base (no cross-candidate base drift in sharded mode), and an overlay
+//! answer is a pure function of `(base, set)`, so sharded results are
 //! **bit-identical** to the serial path at every thread count.
+//!
+//! An answer is *not* independent of the base, though. The overlay's
+//! per-state values are bit-exact with respect to the full solve, but its
+//! total is `base_total + Δ`, whose rounding differs from a full solve's
+//! flat sum. So `bc(∅)` asked after the base has moved can differ in the
+//! last bit from the construction-time solve; the strategies report an
+//! empty pick's cost from that solve
+//! ([`MbFunction::bc_empty`](crate::benefit::MbFunction::bc_empty)).
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
@@ -1149,7 +1157,10 @@ impl BestCostEngine {
         (self.scratch.full_evals, self.scratch.incremental_evals)
     }
 
-    /// `bc(∅)`'s dense state is the committed base right after construction.
+    /// `bc(set)`, answered from the committed base (see the module docs:
+    /// the answer is exact per state, but its total's last bits depend on
+    /// where the base stands). `bc(∅)`'s dense state is the committed base
+    /// right after construction.
     pub fn bc(&mut self, set: &BitSet) -> f64 {
         // Chaos-test site: fires on the calling thread at oracle entry, so
         // an injected "oracle blows up" reproduces identically at every

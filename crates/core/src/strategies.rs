@@ -276,8 +276,16 @@ pub(crate) fn run_strategy(
         }
     };
 
-    let total_cost = mb.bc(&chosen);
     let volcano_cost = mb.bc_empty();
+    // An empty pick is the no-sharing plan, whose cost is the
+    // construction-time solve. The engine would answer `bc(∅)` from the
+    // base the greedy rounds moved, and that overlay total can differ in
+    // the last bit: a phantom benefit.
+    let total_cost = if chosen.is_empty() {
+        volcano_cost
+    } else {
+        mb.bc(&chosen)
+    };
     let bc_calls = mb.bc_calls();
     let opt_time = start.elapsed();
 

@@ -12,6 +12,8 @@
 //! * [`logical`] — logical operators and group-consistent logical
 //!   properties.
 //! * [`memo`] — the hash-consed AND-OR DAG (LQDAG) with group merging.
+//! * [`fphash`] — the multiply-xor hasher behind the memo's hash-consing
+//!   index and `mqo-core`'s structural group fingerprints.
 //! * [`rules`] — transformation rules: join associativity (bushy, no cross
 //!   products), select push-down & merge, select subsumption, aggregate
 //!   subsumption.
@@ -30,6 +32,7 @@
 pub mod context;
 pub mod cost;
 pub mod expr;
+pub mod fphash;
 pub mod logical;
 pub mod memo;
 pub mod optimizer;

@@ -14,7 +14,10 @@
 //! dense operator arena: every expression stores a 4-byte `OpId`, and the
 //! hash-consing index is keyed on `(OpId, children)` — so the deep hash of
 //! a predicate is paid once per *distinct* operator, while the per-insert
-//! probe and every merge-time re-hash touch only small integer keys.
+//! probe and every merge-time re-hash touch only small integer keys,
+//! hashed with the multiply-xor [`FpHasher`](crate::fphash::FpHasher)
+//! rather than SipHash. The operator index keeps SipHash: its keys carry
+//! predicates from user-submitted plans.
 //! Expression children live in one flat arena (`ExprId` → offset range),
 //! so the memo performs no per-expression heap allocation beyond the
 //! arenas themselves.
@@ -29,9 +32,11 @@
 //! tombstoned, but nothing is ever taken back short of [`Memo::reset`].
 //! A consumer that needs to drop a query rebuilds from the survivors.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::context::{ColId, DagContext};
+use crate::fphash::FpBuildHasher;
 use crate::logical::{compute_props, Leaf, LogicalOp, LogicalProps, PlanNode};
 
 /// An equivalence node (OR-node) in the DAG.
@@ -69,8 +74,13 @@ struct GroupData {
 pub(crate) struct ChangeLog {
     active: bool,
     /// Groups that gained at least one expression (insert into an existing
-    /// target, or a merge transferring the dropped group's expressions).
-    grown: Vec<GroupId>,
+    /// target, or a merge transferring the dropped group's expressions),
+    /// each with the length of its member list just before that gain. A
+    /// representative's member list only ever grows by appending, so the
+    /// members past its first recorded length are exactly the ones it
+    /// gained while the log was active: newly interned expressions and the
+    /// members merges moved in.
+    grown: Vec<(GroupId, u32)>,
     /// Live expressions whose children were rewritten during a merge.
     rewritten: Vec<ExprId>,
 }
@@ -139,8 +149,9 @@ pub struct Memo {
     /// Liveness: duplicates produced by merges are tombstoned.
     alive: Vec<bool>,
     group_of: Vec<GroupId>,
-    /// Hash-consing index over `(interned op, child groups)`.
-    index: HashMap<(OpId, Vec<GroupId>), ExprId>,
+    /// Hash-consing index over `(interned op, child groups)`: integer
+    /// keys, integer hasher. Looked up, never iterated for results.
+    index: HashMap<(OpId, Vec<GroupId>), ExprId, FpBuildHasher>,
     /// Synthetic column -> aggregate group producing it.
     producers: HashMap<ColId, GroupId>,
     /// Query roots, in insertion order.
@@ -176,7 +187,7 @@ impl Memo {
             child_arena: Vec::new(),
             alive: Vec::new(),
             group_of: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
             producers: HashMap::new(),
             roots: Vec::new(),
             log: ChangeLog::default(),
@@ -278,9 +289,20 @@ impl Memo {
 
     /// Live expressions of a group.
     pub fn group_exprs(&self, g: GroupId) -> impl Iterator<Item = ExprId> + '_ {
-        let g = self.find(g);
-        self.groups[g.0 as usize]
-            .exprs
+        self.group_exprs_from(self.find(g), 0)
+    }
+
+    /// Live members of the representative group `g` from position `from`
+    /// of its member list on (empty past the end). Together with the
+    /// lengths [`Memo::log_grown`] records, this lists the members a group
+    /// gained while the change log was active.
+    pub(crate) fn group_exprs_from(
+        &self,
+        g: GroupId,
+        from: usize,
+    ) -> impl Iterator<Item = ExprId> + '_ {
+        let exprs = &self.groups[g.0 as usize].exprs;
+        exprs[from.min(exprs.len())..]
             .iter()
             .copied()
             .filter(|e| self.alive[e.0 as usize])
@@ -369,8 +391,11 @@ impl Memo {
         self.log.active = false;
     }
 
-    /// Groups that gained expressions since [`Memo::log_start`].
-    pub(crate) fn log_grown(&self) -> &[GroupId] {
+    /// Groups that gained expressions since [`Memo::log_start`], each with
+    /// its member-list length just before the gain, in mutation order
+    /// (a group recurs once per gain; entries may name groups merged away
+    /// later).
+    pub(crate) fn log_grown(&self) -> &[(GroupId, u32)] {
         &self.log.grown
     }
 
@@ -426,15 +451,18 @@ impl Memo {
     }
 
     /// Interns an operator payload, returning its dense id. This is the
-    /// single place a deep operator hash is paid per insert.
+    /// single place a deep operator hash is paid per insert (once, also
+    /// for a new operator).
     fn intern_op(&mut self, op: LogicalOp) -> OpId {
-        if let Some(&id) = self.op_index.get(&op) {
-            return id;
+        match self.op_index.entry(op) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                let id = OpId(self.ops.len() as u32);
+                self.ops.push(v.key().clone());
+                v.insert(id);
+                id
+            }
         }
-        let id = OpId(self.ops.len() as u32);
-        self.ops.push(op.clone());
-        self.op_index.insert(op, id);
-        id
     }
 
     /// Inserts an expression, hash-consing on `(op, children)`.
@@ -455,7 +483,10 @@ impl Memo {
         if let Some(arity) = op.arity() {
             assert_eq!(children.len(), arity, "arity mismatch for {op:?}");
         }
-        let mut children: Vec<GroupId> = children.iter().map(|&c| self.find(c)).collect();
+        let mut children = children;
+        for c in children.iter_mut() {
+            *c = self.find(*c);
+        }
         if let LogicalOp::Join(_) = op {
             self.canonicalize_join_children(&mut children);
         }
@@ -497,20 +528,6 @@ impl Memo {
 
         // New expression.
         let eid = ExprId(self.expr_op.len() as u32);
-        let props = {
-            let op = &self.ops[op_id.0 as usize];
-            let child_props: Vec<&LogicalProps> = children
-                .iter()
-                .map(|&c| &self.groups[c.0 as usize].props)
-                .collect();
-            compute_props(
-                op,
-                &child_props,
-                &self.ctx,
-                |g| self.groups[self.find(g).0 as usize].props.rows,
-                |g| self.groups[self.find(g).0 as usize].props.width,
-            )
-        };
         self.expr_op.push(op_id);
         self.child_arena.extend_from_slice(&children);
         self.child_off.push(self.child_arena.len() as u32);
@@ -520,18 +537,34 @@ impl Memo {
         let group = match target {
             Some(t) => {
                 let t = self.find(t);
-                self.groups[t.0 as usize].exprs.push(eid);
+                let members = &mut self.groups[t.0 as usize].exprs;
+                if self.log.active {
+                    self.log.grown.push((t, members.len() as u32));
+                }
+                members.push(eid);
                 if let Some(d) = self.delta.as_mut() {
                     d.grown.push(t);
-                }
-                if self.log.active {
-                    self.log.grown.push(t);
                 }
                 t
             }
             None => {
+                // Only a new group needs logical properties: a targeted
+                // insert joins a group whose properties are already set.
                 let gid = GroupId(self.groups.len() as u32);
-                let mut props = props;
+                let mut props = {
+                    let op = &self.ops[op_id.0 as usize];
+                    let child_props: Vec<&LogicalProps> = children
+                        .iter()
+                        .map(|&c| &self.groups[c.0 as usize].props)
+                        .collect();
+                    compute_props(
+                        op,
+                        &child_props,
+                        &self.ctx,
+                        |g| self.groups[self.find(g).0 as usize].props.rows,
+                        |g| self.groups[self.find(g).0 as usize].props.width,
+                    )
+                };
                 if let LogicalOp::Aggregate(spec) = &self.ops[op_id.0 as usize] {
                     // The aggregate's own output is the leaf of its region.
                     props.leaves = vec![Leaf::Agg(gid)];
@@ -596,7 +629,8 @@ impl Memo {
                 d.grown.push(keep);
             }
             if self.log.active {
-                self.log.grown.push(keep);
+                let len = self.groups[keep.0 as usize].exprs.len() as u32;
+                self.log.grown.push((keep, len));
             }
 
             let dropped_exprs = std::mem::take(&mut self.groups[drop.0 as usize].exprs);

@@ -35,6 +35,26 @@
 //! merge, and the live parents of every group that gained expressions
 //! (their rules may now match the new members). Expansion terminates when
 //! a round changes nothing.
+//!
+//! # Semi-naive matching
+//!
+//! A frontier entry is matched against *every* member of its child groups
+//! only in round 1, when it was interned in the previous round, or when a
+//! merge rewrote its children. An entry re-entered only because a child
+//! group grew is matched against that group's new members alone: those
+//! the group gained in the previous round, i.e. newly interned expressions
+//! and the members a merge moved in. The memo's change log records, per
+//! grown group, where its member list stood before it first grew, and the
+//! gained members are the list's tail past that mark.
+//!
+//! This is exact. Every skipped (entry, member) pair was generated and
+//! committed in an earlier round, and re-committing it is a no-op: the
+//! rule's output is already interned, and any merge it implied has already
+//! happened. Merges only unify groups, so a distinctness guard that failed
+//! once stays failed. Skipped candidates therefore never mutated the memo,
+//! and the remaining ones commit in the same relative order, so the
+//! expanded memo is identical to a full re-match's — only the generated
+//! candidate count falls.
 
 use crate::context::ColId;
 use crate::expr::Predicate;
@@ -141,7 +161,7 @@ pub fn expand(memo: &mut Memo, rules: &RuleSet) -> ExpansionStats {
 pub fn expand_with(memo: &mut Memo, rules: &RuleSet, threads: usize) -> ExpansionStats {
     // Round 1 processes every live expression; later rounds only what the
     // change log implicates.
-    let frontier: Vec<ExprId> = memo.expr_ids().collect();
+    let frontier: Vec<Entry> = memo.expr_ids().map(|e| (e, Match::Full)).collect();
     expand_frontier(memo, rules, threads, frontier)
 }
 
@@ -162,13 +182,51 @@ pub fn expand_seeded(
     seeds: impl IntoIterator<Item = ExprId>,
 ) -> ExpansionStats {
     let n = memo.exprs_allocated() as u32;
-    let mut frontier: Vec<ExprId> = seeds
+    let mut frontier: Vec<Entry> = seeds
         .into_iter()
         .filter(|e| e.0 < n && memo.is_alive(*e))
+        .map(|e| (e, Match::Full))
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
     expand_frontier(memo, rules, threads, frontier)
+}
+
+/// How a frontier entry is matched against its child groups' members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Match {
+    /// Against every live member (round 1, new, or rewritten entries).
+    Full,
+    /// Against the members a child group gained in the previous round.
+    Gained,
+}
+
+/// A frontier entry: an expression and how to match it.
+type Entry = (ExprId, Match);
+
+/// The child-group members one frontier entry is matched against.
+#[derive(Clone, Copy)]
+struct Scope<'a> {
+    mode: Match,
+    /// The groups that grew in the previous round, sorted by id, each with
+    /// the member-list position from which its gained members start.
+    grown: &'a [(GroupId, u32)],
+}
+
+impl Scope<'_> {
+    /// Every live member of `g` in [`Match::Full`] mode; otherwise the
+    /// members `g` gained in the previous round (none if it did not grow).
+    fn members<'m>(&self, memo: &'m Memo, g: GroupId) -> impl Iterator<Item = ExprId> + 'm {
+        let g = memo.find(g);
+        let from = match self.mode {
+            Match::Full => 0,
+            Match::Gained => match self.grown.binary_search_by_key(&g, |&(h, _)| h) {
+                Ok(i) => self.grown[i].1 as usize,
+                Err(_) => usize::MAX,
+            },
+        };
+        memo.group_exprs_from(g, from)
+    }
 }
 
 /// The shared fixpoint loop behind [`expand_with`] and [`expand_seeded`];
@@ -177,18 +235,19 @@ fn expand_frontier(
     memo: &mut Memo,
     rules: &RuleSet,
     threads: usize,
-    mut frontier: Vec<ExprId>,
+    mut frontier: Vec<Entry>,
 ) -> ExpansionStats {
     let mut stats = ExpansionStats::default();
     // Per-frontier-entry candidate buffers, reused across rounds.
     let mut candidates: Vec<Vec<Candidate>> = Vec::new();
+    let mut grown: Vec<(GroupId, u32)> = Vec::new();
 
     while !frontier.is_empty() {
         stats.passes += 1;
         let watermark = memo.exprs_allocated();
 
         // Phase 1: generate (read-only, parallel).
-        generate_all(memo, rules, &frontier, threads, &mut candidates);
+        generate_all(memo, rules, &frontier, &grown, threads, &mut candidates);
         stats.candidates += candidates.iter().map(Vec::len).sum::<usize>();
 
         // Phase 2: commit (serial, deterministic order).
@@ -227,18 +286,33 @@ fn expand_frontier(
             );
         }
 
-        // Next frontier from the change log: new expressions, rewritten
-        // expressions, and live parents of every group that gained members.
+        // Next frontier from the change log: new and rewritten expressions
+        // (matched in full), and live parents of every group that gained
+        // members (matched against the gained members only). A group that
+        // was merged away hands its gains to its representative, which
+        // the log records as grown too.
+        grown.clear();
+        grown.extend(memo.log_grown().iter().filter(|&&(g, _)| memo.find(g) == g));
+        // Per group, the smallest recorded length marks its first gain.
+        grown.sort_unstable();
+        grown.dedup_by_key(|&mut (g, _)| g);
         frontier.clear();
-        frontier.extend((watermark as u32..memo.exprs_allocated() as u32).map(ExprId));
-        frontier.extend_from_slice(memo.log_rewritten());
-        for &g in memo.log_grown() {
-            frontier.extend(memo.group_parents(g));
+        frontier.extend(
+            (watermark as u32..memo.exprs_allocated() as u32).map(|e| (ExprId(e), Match::Full)),
+        );
+        frontier.extend(memo.log_rewritten().iter().map(|&e| (e, Match::Full)));
+        for &(g, _) in &grown {
+            frontier.extend(
+                memo.group_parents(g)
+                    .into_iter()
+                    .map(|e| (e, Match::Gained)),
+            );
         }
         memo.log_stop();
+        // `Full` sorts first, so an entry implicated both ways keeps it.
         frontier.sort_unstable();
-        frontier.dedup();
-        frontier.retain(|&e| memo.is_alive(e));
+        frontier.dedup_by_key(|&mut (e, _)| e);
+        frontier.retain(|&(e, _)| memo.is_alive(e));
     }
 
     stats.exprs = memo.n_exprs();
@@ -249,8 +323,8 @@ fn expand_frontier(
 /// The subsumption frontier of a round: the per-expression frontier plus
 /// everything interned or rewritten during this round's commit, sorted and
 /// deduplicated.
-fn pair_frontier(memo: &Memo, frontier: &[ExprId], watermark: usize) -> Vec<ExprId> {
-    let mut out: Vec<ExprId> = frontier.to_vec();
+fn pair_frontier(memo: &Memo, frontier: &[Entry], watermark: usize) -> Vec<ExprId> {
+    let mut out: Vec<ExprId> = frontier.iter().map(|&(e, _)| e).collect();
     out.extend((watermark as u32..memo.exprs_allocated() as u32).map(ExprId));
     out.extend_from_slice(memo.log_rewritten());
     out.sort_unstable();
@@ -317,7 +391,8 @@ fn commit(memo: &mut Memo, cand: Candidate) {
 fn generate_all(
     memo: &Memo,
     rules: &RuleSet,
-    frontier: &[ExprId],
+    frontier: &[Entry],
+    grown: &[(GroupId, u32)],
     threads: usize,
     out: &mut Vec<Vec<Candidate>>,
 ) {
@@ -326,8 +401,8 @@ fn generate_all(
     }
     let workers = effective_threads(threads, frontier.len());
     if workers <= 1 {
-        for (slot, &e) in out.iter_mut().zip(frontier.iter()) {
-            generate(memo, rules, e, slot);
+        for (slot, &entry) in out.iter_mut().zip(frontier.iter()) {
+            generate(memo, rules, entry, grown, slot);
         }
         return;
     }
@@ -335,29 +410,36 @@ fn generate_all(
     std::thread::scope(|scope| {
         for (items, slots) in frontier.chunks(chunk).zip(out.chunks_mut(chunk)) {
             scope.spawn(move || {
-                for (&e, slot) in items.iter().zip(slots.iter_mut()) {
-                    generate(memo, rules, e, slot);
+                for (&entry, slot) in items.iter().zip(slots.iter_mut()) {
+                    generate(memo, rules, entry, grown, slot);
                 }
             });
         }
     });
 }
 
-/// Matches one expression against the per-expression rules.
-fn generate(memo: &Memo, rules: &RuleSet, e: ExprId, out: &mut Vec<Candidate>) {
+/// Matches one frontier entry against the per-expression rules.
+fn generate(
+    memo: &Memo,
+    rules: &RuleSet,
+    (e, mode): Entry,
+    grown: &[(GroupId, u32)],
+    out: &mut Vec<Candidate>,
+) {
     if !memo.is_alive(e) {
         return;
     }
+    let scope = Scope { mode, grown };
     match memo.op(e) {
         LogicalOp::Join(_) if rules.join_associativity => {
-            gen_associativity(memo, e, out);
+            gen_associativity(memo, e, scope, out);
         }
         LogicalOp::Select(_) => {
             if rules.select_pushdown {
-                gen_select_pushdown(memo, e, out);
+                gen_select_pushdown(memo, e, scope, out);
             }
             if rules.select_merge {
-                gen_select_merge(memo, e, out);
+                gen_select_merge(memo, e, scope, out);
             }
         }
         _ => {}
@@ -368,7 +450,7 @@ fn generate(memo: &Memo, rules: &RuleSet, e: ExprId, out: &mut Vec<Candidate>) {
 /// into the same group (and the mirrored variant). Predicate atoms are
 /// pooled and redistributed by column coverage; rewrites that would create a
 /// predicate-less (cross-product) join are skipped.
-fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
+fn gen_associativity(memo: &Memo, e: ExprId, scope: Scope, out: &mut Vec<Candidate>) {
     let LogicalOp::Join(top_pred) = memo.op(e) else {
         return;
     };
@@ -377,7 +459,7 @@ fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
     let target = memo.group_of(e);
 
     // Direction 1: left child is itself a join (A ⋈ B), pivot to A ⋈ (B ⋈ C).
-    for le in memo.group_exprs(l) {
+    for le in scope.members(memo, l) {
         if let LogicalOp::Join(low_pred) = memo.op(le) {
             let lc = memo.children(le);
             let (a, b) = (lc[0], lc[1]);
@@ -389,7 +471,7 @@ fn gen_associativity(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
 
     // Direction 2 (mirror): right child is a join (B ⋈ C), pivot to
     // (A ⋈ B) ⋈ C.
-    for re in memo.group_exprs(r) {
+    for re in scope.members(memo, r) {
         if let LogicalOp::Join(low_pred) = memo.op(re) {
             let rc = memo.children(re);
             let (b, c) = (rc[0], rc[1]);
@@ -466,13 +548,13 @@ fn gen_pivot(
 
 /// Select push-down: `σ_p(A ⋈_j B)` derives `σ_pA(A) ⋈_{j ∧ p_rest} σ_pB(B)`
 /// in the same group.
-fn gen_select_pushdown(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
+fn gen_select_pushdown(memo: &Memo, e: ExprId, scope: Scope, out: &mut Vec<Candidate>) {
     let LogicalOp::Select(pred) = memo.op(e) else {
         return;
     };
     let child = memo.children(e)[0];
     let target = memo.group_of(e);
-    for je in memo.group_exprs(child) {
+    for je in scope.members(memo, child) {
         let LogicalOp::Join(jp) = memo.op(je) else {
             continue;
         };
@@ -536,13 +618,13 @@ fn gen_select_pushdown(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
 }
 
 /// Select merge: `σ_p(σ_q(E))` derives `σ_{p∧q}(E)` in the same group.
-fn gen_select_merge(memo: &Memo, e: ExprId, out: &mut Vec<Candidate>) {
+fn gen_select_merge(memo: &Memo, e: ExprId, scope: Scope, out: &mut Vec<Candidate>) {
     let LogicalOp::Select(pred) = memo.op(e) else {
         return;
     };
     let child = memo.children(e)[0];
     let target = memo.group_of(e);
-    for se in memo.group_exprs(child) {
+    for se in scope.members(memo, child) {
         let LogicalOp::Select(q) = memo.op(se) else {
             continue;
         };
@@ -1049,6 +1131,60 @@ mod tests {
         let s = expand_with(&mut evolved, &rules, 1);
         assert_eq!(s.passes, 1);
         assert_eq!(s.exprs, evolved.n_exprs());
+    }
+
+    /// Semi-naive matching must see members a merge *moves* into a group,
+    /// not only newly interned ones. Q1 = σ(a⋈b) ⋈ c and Q2 = σa ⋈ b:
+    /// round 1 pushes Q1's selection down to σa ⋈ b, which is Q2's root
+    /// expression, so Q2's group merges into Q1's σ(a⋈b) group. The top
+    /// join of Q1 already matched that group in round 1 (finding no join),
+    /// is not rewritten by the merge, and re-enters only because its child
+    /// grew. The moved member σa ⋈ b predates expansion, so no id
+    /// watermark reveals it; the top join must still pivot over it to
+    /// σa ⋈ (b ⋈ c).
+    #[test]
+    fn semi_naive_matching_sees_members_moved_by_a_merge() {
+        let mut ctx = chain_ctx();
+        let a = ctx.instance_by_name("a", 0);
+        let b = ctx.instance_by_name("b", 0);
+        let c = ctx.instance_by_name("c", 0);
+        let p_ab = Predicate::join(ctx.col(a, "a_next"), ctx.col(b, "b_key"));
+        let p_bc = Predicate::join(ctx.col(b, "b_next"), ctx.col(c, "c_key"));
+        let sel = Predicate::on(ctx.col(a, "a_x"), Constraint::eq(3));
+        let q1 = PlanNode::scan(a)
+            .join(PlanNode::scan(b), p_ab.clone())
+            .select(sel.clone())
+            .join(PlanNode::scan(c), p_bc);
+        let q2 = PlanNode::scan(a)
+            .select(sel.clone())
+            .join(PlanNode::scan(b), p_ab.clone());
+        let mut memo = Memo::new(ctx);
+        let root = memo.insert_plan(&q1);
+        let moved_into = memo.group_children(root)[0];
+        let q2_root = memo.insert_plan(&q2);
+        let scan_a = memo.insert(LogicalOp::Scan(a), vec![], None);
+        let sel_a = memo.insert(LogicalOp::Select(sel), vec![scan_a], None);
+        let scan_b = memo.insert(LogicalOp::Scan(b), vec![], None);
+        let moved = memo
+            .expr_id_of(&LogicalOp::Join(p_ab.clone()), &[sel_a, scan_b])
+            .expect("Q2's root expression");
+        let before = memo.exprs_allocated();
+        assert!(moved_into < q2_root, "the merge keeps Q1's group");
+        assert_ne!(memo.find(moved_into), memo.find(q2_root));
+
+        expand(&mut memo, &RuleSet::joins_only());
+        memo.check_consistency();
+        assert_eq!(
+            memo.find(moved_into),
+            memo.find(q2_root),
+            "pushdown must merge Q2's group into σ(a⋈b)"
+        );
+        assert!((moved.0 as usize) < before && memo.is_alive(moved));
+        let pivoted = memo.group_exprs(root).any(|e| {
+            matches!(memo.op(e), LogicalOp::Join(p) if *p == p_ab)
+                && memo.children(e).contains(&memo.find(sel_a))
+        });
+        assert!(pivoted, "the top join must derive σa ⋈ (b ⋈ c)");
     }
 
     #[test]

@@ -22,7 +22,8 @@
 #   6. the repository benchmark's smoke test (`mqobench/`, its own
 #      package outside the workspace): it builds against the workspace
 #      crates' public API, so a serving or session API change that breaks
-#      the benchmark fails here rather than at benchmark time
+#      the benchmark fails here rather than at benchmark time; its output
+#      is kept in target/mqobench-smoke.log
 #   7. one smoke iteration of each bench target via the in-repo harness
 #      (`mqo_bench::timing`), plus the `scale_sweep --big` example, which
 #      asserts that the calibrated 10k-candidate instance still exceeds
@@ -116,7 +117,10 @@ echo "==> mqo-lint (six invariant rules; any finding fails the gate)"
 cargo run --offline --release -q -p mqo-lint -- --json
 
 echo "==> mqobench smoke test (the benchmark builds and runs against the workspace API)"
-cargo test --release --offline --manifest-path mqobench/Cargo.toml
+# The output is kept in target/mqobench-smoke.log so a failing run's
+# message survives; pipefail makes the pipeline fail when the tests do.
+mkdir -p target
+cargo test --release --offline --manifest-path mqobench/Cargo.toml 2>&1 | tee target/mqobench-smoke.log
 
 bench_smoke
 

@@ -4,7 +4,7 @@
 //! `bc` oracle makes 2^n evaluations affordable for small n).
 
 use mqo_core::session::{OptimizedBatch, Session};
-use mqo_core::strategies::Strategy;
+use mqo_core::strategies::{RunReport, Strategy};
 use mqo_core::MqoConfig;
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::rules::RuleSet;
@@ -217,6 +217,20 @@ fn budgeted_runs_certify_validly() {
 /// threads 1 and 4 (several of them once certified 0.9999999999999999).
 #[test]
 fn converged_certificates_never_certify_below_one() {
+    for_each_bq4_sub_batch_run(|mask, threads, r| {
+        let cert = r.gap_certificate.expect("greedy runs certify");
+        assert!(!cert.truncated);
+        assert!(
+            cert.ratio >= 1.0,
+            "sub-batch {mask:#b} threads {threads}: certified ratio {} below 1",
+            cert.ratio
+        );
+    });
+}
+
+/// Runs MarginalGreedy on every sub-batch of BQ4 at threads 1 and 4 and
+/// hands each report to `check` with its sub-batch mask and thread count.
+fn for_each_bq4_sub_batch_run(mut check: impl FnMut(u32, usize, &RunReport)) {
     let pool = mqo_tpcd::batched(4, 1.0).queries;
     for mask in 1u32..(1 << pool.len()) {
         let w = mqo_tpcd::batched(4, 1.0);
@@ -230,15 +244,38 @@ fn converged_certificates_never_certify_below_one() {
             .build();
         for threads in [1usize, 4] {
             let r = batch.run_with(Strategy::MarginalGreedy, MqoConfig::with_threads(threads));
-            let cert = r.gap_certificate.expect("greedy runs certify");
-            assert!(!cert.truncated);
-            assert!(
-                cert.ratio >= 1.0,
-                "sub-batch {mask:#b} threads {threads}: certified ratio {} below 1",
-                cert.ratio
-            );
+            check(mask, threads, &r);
         }
     }
+}
+
+/// A run that materializes nothing reports exactly the no-sharing plan:
+/// `total_cost` is `bc(∅)` to the bit and the benefit is zero. Swept over
+/// every sub-batch of BQ4 at threads 1 and 4. MarginalGreedy picks nothing
+/// on several of them, and there the engine, asked for `bc(∅)` from the
+/// base its rounds had moved, once answered a cost one ulp off the
+/// construction-time solve: a phantom benefit of 2.3e-10.
+#[test]
+fn empty_picks_report_the_volcano_cost_exactly() {
+    let mut empty_picks = 0;
+    for_each_bq4_sub_batch_run(|mask, threads, r| {
+        if !r.materialized.is_empty() {
+            return;
+        }
+        empty_picks += 1;
+        assert_eq!(
+            r.total_cost.to_bits(),
+            r.volcano_cost.to_bits(),
+            "sub-batch {mask:#b} threads {threads}: empty pick costs {} against bc(∅) {}",
+            r.total_cost,
+            r.volcano_cost
+        );
+        assert_eq!(
+            r.benefit, 0.0,
+            "sub-batch {mask:#b} threads {threads}: phantom benefit"
+        );
+    });
+    assert!(empty_picks > 0, "the sweep must cover empty picks");
 }
 
 #[test]
