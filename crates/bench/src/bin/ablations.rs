@@ -4,14 +4,13 @@
 //!    evaluations for the lazy variants.
 //! 2. **Incremental vs full `bestCost`** (Section 5.1 / Pyro's third
 //!    optimization): identical answers, large speed difference.
-//! 3. **§5.1 ratio pruning**: identical answers, less work.
-//! 4. **Theorem 4 universe reduction**: identical answers under a
+//! 3. **Theorem 4 universe reduction**: identical answers under a
 //!    cardinality constraint.
-//! 5. **Decomposition choice** (Proposition 2): the canonical decomposition
+//! 4. **Decomposition choice** (Proposition 2): the canonical decomposition
 //!    vs an inflated one — achieved benefit comparison.
-//! 6. **Cleanup extension**: how far the workload's `mb` deviates from the
+//! 5. **Cleanup extension**: how far the workload's `mb` deviates from the
 //!    submodularity assumption.
-//! 7. **Rebase threshold** (`MqoConfig`): identical answers across
+//! 6. **Rebase threshold** (`MqoConfig`): identical answers across
 //!    thresholds; the default of 4 balances overlay size against full
 //!    recomputations.
 
@@ -21,7 +20,7 @@ use mqo_core::benefit::MbFunction;
 use mqo_core::engine::{BestCostEngine, MqoConfig};
 use mqo_core::session::Session;
 use mqo_core::strategies::Strategy;
-use mqo_submod::algorithms::lazy::lazy_marginal_greedy;
+use mqo_submod::algorithms::greedy::{select, Evaluation, Ranking};
 use mqo_submod::algorithms::marginal_greedy::{marginal_greedy, Config};
 use mqo_submod::bitset::BitSet;
 use mqo_submod::decompose::Decomposition;
@@ -32,7 +31,7 @@ use mqo_volcano::rules::RuleSet;
 fn main() {
     let cm = DiskCostModel::paper();
 
-    println!("== 1+3. Lazy vs eager MarginalGreedy, with/without §5.1 pruning ==");
+    println!("== 1. Lazy vs eager MarginalGreedy ==");
     for i in [3usize, 5] {
         let w = mqo_tpcd::batched(i, 1.0);
         let batch = BatchDag::build(w.ctx, &w.queries, &RuleSet::default());
@@ -43,21 +42,17 @@ fn main() {
         let full = BitSet::full(n);
 
         let eager = marginal_greedy(&mb, &d, &full, Config::default());
-        let lazy = lazy_marginal_greedy(&mb, &d, &full, Config::default());
-        let no_prune = marginal_greedy(
+        let lazy = select(
             &mb,
-            &d,
+            Ranking::Ratio(&d),
+            Evaluation::Lazy,
             &full,
-            Config {
-                prune_ratio_below_one: false,
-                ..Default::default()
-            },
+            Config::default(),
         );
         assert_eq!(eager.set, lazy.set);
-        assert_eq!(eager.set, no_prune.set);
         println!(
-            "BQ{i} (n={n}): eager {} evals | lazy {} evals | eager-no-pruning {} evals (same answer)",
-            eager.evaluations, lazy.evaluations, no_prune.evaluations
+            "BQ{i} (n={n}): eager {} evals | lazy {} evals (same answer)",
+            eager.evaluations, lazy.evaluations
         );
     }
 
@@ -96,7 +91,7 @@ fn main() {
         );
     }
 
-    println!("\n== 4. Theorem 4 universe reduction under cardinality constraints ==");
+    println!("\n== 3. Theorem 4 universe reduction under cardinality constraints ==");
     for k in [2usize, 4] {
         let w = mqo_tpcd::batched(4, 1.0);
         let session = Session::builder()
@@ -118,7 +113,7 @@ fn main() {
         );
     }
 
-    println!("\n== 5. Decomposition choice (Proposition 2) ==");
+    println!("\n== 4. Decomposition choice (Proposition 2) ==");
     {
         let w = mqo_tpcd::batched(4, 1.0);
         let batch = BatchDag::build(w.ctx, &w.queries, &RuleSet::default());
@@ -139,7 +134,7 @@ fn main() {
         );
     }
 
-    println!("\n== 6. Cleanup extension (submodularity-violation probe) ==");
+    println!("\n== 5. Cleanup extension (submodularity-violation probe) ==");
     for name in ["Q11", "Q15"] {
         let w = mqo_tpcd::standalone(name, 1.0);
         let session = Session::builder()
@@ -158,7 +153,7 @@ fn main() {
         );
     }
 
-    println!("\n== 7. Rebase threshold (MqoConfig) ==");
+    println!("\n== 6. Rebase threshold (MqoConfig) ==");
     {
         let w = mqo_tpcd::batched(4, 1.0);
         let session = Session::builder()

@@ -1,14 +1,15 @@
 //! Experiment 2 (Section 6.2, Figure 5): stand-alone TPCD queries.
 //!
-//! Regenerates the data behind Figure 5a (plan costs at 1 GB), Figure 5b
-//! (plan costs at 100 GB), and Figure 5c (optimization times). The
+//! Regenerates the data behind Figure 5a (plan costs at 1 GB) and Figure 5b
+//! (plan costs at 100 GB). Figure 5c's optimization times are the
+//! `opt_time` bench's series, recorded in `BENCH_opt_time.json`. The
 //! workloads are single queries with common subexpressions *within*
 //! themselves: Q2 (correlated nested subquery), Q2-D (its decorrelated
 //! batch), Q11 and Q15 (views referenced twice).
 //!
 //! Usage: `experiment2 [--sf <scale factor>]` (default: both 1 and 100).
 
-use mqo_bench::{experiment2, print_cost_table, print_time_table, PAPER_STRATEGIES};
+use mqo_bench::{experiment2, print_cost_table, PAPER_STRATEGIES};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -33,6 +34,5 @@ fn main() {
         };
         let rows = experiment2(sf, &PAPER_STRATEGIES);
         print_cost_table(&format!("Experiment 2 — {label}"), &rows);
-        print_time_table("Experiment 2 — Figure 5c", &rows);
     }
 }

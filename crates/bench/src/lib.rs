@@ -1,18 +1,19 @@
 //! Benchmark harness: runs the paper's experiments and prints the tables
 //! behind every figure.
 //!
-//! * Experiment 1 (Figure 4a/4b/4c): batched TPCD queries BQ1..BQ6 at SF 1
-//!   and SF 100 — plan costs, number of materialized nodes, optimization
-//!   times.
-//! * Experiment 2 (Figure 5a/5b/5c): stand-alone Q2, Q2-D, Q11, Q15.
-//! * Ablations: lazy vs eager, incremental vs full `bestCost`, §5.1
-//!   pruning, Theorem 4 universe reduction, decomposition choice, cleanup.
+//! * Experiment 1 (Figure 4a/4b): batched TPCD queries BQ1..BQ6 at SF 1
+//!   and SF 100 — plan costs and number of materialized nodes.
+//! * Experiment 2 (Figure 5a/5b): stand-alone Q2, Q2-D, Q11, Q15.
+//! * Ablations: lazy vs eager, incremental vs full `bestCost`, Theorem 4
+//!   universe reduction, decomposition choice, cleanup.
+//!
+//! The optimization-time series of Figures 4c and 5c are the `opt_time`
+//! bench (`benches/opt_time.rs`), recorded with sample count and spread in
+//! `BENCH_opt_time.json`.
 
 #![forbid(unsafe_code)]
 
 pub mod timing;
-
-use std::time::Duration;
 
 use mqo_core::session::Session;
 use mqo_core::strategies::{RunReport, Strategy};
@@ -84,11 +85,6 @@ pub fn experiment2(sf: f64, strategies: &[Strategy]) -> Vec<ExperimentRow> {
         .collect()
 }
 
-/// Formats a duration as milliseconds with three decimals.
-pub fn fmt_ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
-}
-
 /// Prints the cost table of an experiment (the bar heights of Figures 4a/4b
 /// and 5a/5b: estimated plan cost per strategy, with the number of
 /// materialized nodes annotated as in the paper).
@@ -111,24 +107,6 @@ pub fn print_cost_table(title: &str, rows: &[ExperimentRow]) {
         print!("{:<10} {:>9}", row.workload, "");
         for r in &row.reports {
             print!(" {:>25.1}%", r.improvement_pct());
-        }
-        println!();
-    }
-}
-
-/// Prints the optimization-time table (Figures 4c and 5c; the paper plots
-/// these in log scale because Greedy and MarginalGreedy nearly coincide).
-pub fn print_time_table(title: &str, rows: &[ExperimentRow]) {
-    println!("\n{title} (optimization time, ms)");
-    print!("{:<10} {:>9}", "workload", "universe");
-    for r in &rows[0].reports {
-        print!(" {:>20}", r.strategy);
-    }
-    println!();
-    for row in rows {
-        print!("{:<10} {:>9}", row.workload, row.universe);
-        for r in &row.reports {
-            print!(" {:>20}", fmt_ms(r.opt_time));
         }
         println!();
     }

@@ -12,9 +12,7 @@
 use std::time::{Duration, Instant};
 
 use mqo_submod::algorithms::cardinality::universe_reduction;
-use mqo_submod::algorithms::greedy::{self as greedy_mod, Config as GreedyConfig};
-use mqo_submod::algorithms::lazy::lazy_marginal_greedy;
-use mqo_submod::algorithms::marginal_greedy::{marginal_greedy, Config as MarginalConfig};
+use mqo_submod::algorithms::greedy::{select, Config, Evaluation, Ranking};
 use mqo_submod::algorithms::Outcome;
 use mqo_submod::bitset::BitSet;
 use mqo_submod::decompose::Decomposition;
@@ -221,52 +219,47 @@ pub(crate) fn run_strategy(
     // family, where Theorem 4 proves it output-preserving.
     // Anytime controls: the deadline is anchored at the start of node
     // selection, so `time_budget` bounds the greedy rounds themselves.
-    let deadline = config.time_budget.map(|b| start + b);
-    let greedy_cfg = GreedyConfig {
+    let greedy_cfg = Config {
         max_picks: config.max_materializations,
-        deadline,
+        deadline: config.time_budget.map(|b| start + b),
         benefit_floor: config.marginal_floor,
-    };
-    let marginal_cfg = MarginalConfig {
-        max_picks: config.max_materializations,
-        deadline,
-        benefit_floor: config.marginal_floor,
-        ..Default::default()
     };
     let mut candidates = n;
     // The four greedy strategies keep their full `Outcome` so the gap
     // certificate below can read the achieved value and the certified
-    // headroom.
+    // headroom. The cleanup variant certifies nothing: its post-pass
+    // changes the set the headroom was observed for.
     let mut anytime: Option<Outcome> = None;
-    let mut keep = |out: Outcome| -> BitSet {
-        let set = out.set.clone();
-        anytime = Some(out);
-        set
-    };
     let chosen: BitSet = match strategy {
         Strategy::Volcano => BitSet::empty(n),
-        Strategy::Greedy => keep(greedy_mod::greedy(&mb, &full, greedy_cfg)),
-        Strategy::LazyGreedy => keep(greedy_mod::lazy_greedy(&mb, &full, greedy_cfg)),
-        Strategy::MarginalGreedy => {
-            let decomp = decomposition_for(&mb, &config);
-            let cands = reduced_candidates(&mb, &decomp, &full, &config);
+        Strategy::Greedy
+        | Strategy::LazyGreedy
+        | Strategy::MarginalGreedy
+        | Strategy::LazyMarginalGreedy
+        | Strategy::MarginalGreedyCleanup => {
+            let (ratio_ranked, evaluation) = match strategy {
+                Strategy::Greedy => (false, Evaluation::Eager),
+                Strategy::LazyGreedy => (false, Evaluation::Lazy),
+                Strategy::LazyMarginalGreedy => (true, Evaluation::Lazy),
+                _ => (true, Evaluation::Eager),
+            };
+            let decomp = ratio_ranked.then(|| decomposition_for(&mb, &config));
+            let (ranking, cands) = match &decomp {
+                Some(d) => (
+                    Ranking::Ratio(d),
+                    reduced_candidates(&mb, d, &full, &config),
+                ),
+                None => (Ranking::Benefit, full.clone()),
+            };
             candidates = cands.len();
-            keep(marginal_greedy(&mb, &decomp, &cands, marginal_cfg))
-        }
-        Strategy::LazyMarginalGreedy => {
-            let decomp = decomposition_for(&mb, &config);
-            let cands = reduced_candidates(&mb, &decomp, &full, &config);
-            candidates = cands.len();
-            keep(lazy_marginal_greedy(&mb, &decomp, &cands, marginal_cfg))
+            let out = select(&mb, ranking, evaluation, &cands, greedy_cfg);
+            if strategy == Strategy::MarginalGreedyCleanup {
+                mqo_submod::algorithms::cleanup::cleanup(&mb, &out.set).set
+            } else {
+                anytime.insert(out).set.clone()
+            }
         }
         Strategy::MaterializeAll => full.clone(),
-        Strategy::MarginalGreedyCleanup => {
-            let decomp = decomposition_for(&mb, &config);
-            let cands = reduced_candidates(&mb, &decomp, &full, &config);
-            candidates = cands.len();
-            let out = marginal_greedy(&mb, &decomp, &cands, marginal_cfg);
-            mqo_submod::algorithms::cleanup::cleanup(&mb, &out.set).set
-        }
         Strategy::Exhaustive => {
             assert!(
                 n <= 20,

@@ -16,23 +16,7 @@ use crate::bitset::BitSet;
 use crate::decompose::Decomposition;
 use crate::function::SetFunction;
 
-/// Total-order f64 wrapper so top-of-lattice ratios can live in a heap.
-#[derive(Clone, Copy, PartialEq)]
-struct Tot(f64);
-
-impl Eq for Tot {}
-
-impl PartialOrd for Tot {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Tot {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
+use super::greedy::Rank;
 
 /// The result of the Theorem 4 universe-reduction preprocessing.
 #[derive(Clone, Debug)]
@@ -143,10 +127,10 @@ pub fn universe_reduction<F: SetFunction>(
             .then_with(|| ranked[a].cmp(&ranked[b]))
     });
     let _ = f.eval(&full); // re-anchor after the singleton batch
-    let mut top_k: BinaryHeap<Reverse<Tot>> = BinaryHeap::with_capacity(k + 1);
+    let mut top_k: BinaryHeap<Reverse<Rank>> = BinaryHeap::with_capacity(k + 1);
     for &i in &order {
         if top_k.len() == k {
-            let kth = top_k.peek().expect("heap holds k elements").0 .0;
+            let kth = top_k.peek().expect("heap holds k elements").0.score;
             if singleton_ratios[i] < kth {
                 break;
             }
@@ -155,12 +139,15 @@ pub fn universe_reduction<F: SetFunction>(
         let v = f.eval(&full.without(e));
         evaluations += 1;
         let ratio = (f_full - v + decomp.cost(e)) / decomp.cost(e);
-        top_k.push(Reverse(Tot(ratio)));
+        top_k.push(Reverse(Rank {
+            score: ratio,
+            element: e,
+        }));
         if top_k.len() > k {
             top_k.pop();
         }
     }
-    let threshold = top_k.peek().expect("ranked.len() > k").0 .0;
+    let threshold = top_k.peek().expect("ranked.len() > k").0.score;
 
     // Keep e iff its singleton ratio meets the threshold. Elements below
     // the cost floor sit outside the ratio ordering and are always kept.

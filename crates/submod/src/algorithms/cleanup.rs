@@ -15,6 +15,8 @@
 use crate::bitset::BitSet;
 use crate::function::SetFunction;
 
+use super::greedy::Rank;
+
 /// Result of a cleanup pass.
 #[derive(Clone, Debug)]
 pub struct CleanupOutcome {
@@ -37,19 +39,22 @@ pub fn cleanup<F: SetFunction>(f: &F, start: &BitSet) -> CleanupOutcome {
     let mut removed = Vec::new();
 
     loop {
-        let mut best: Option<(usize, f64)> = None;
+        let mut best: Option<Rank> = None;
         for e in set.iter().collect::<Vec<_>>() {
-            let v = f.eval(&set.without(e));
+            let rank = Rank {
+                score: f.eval(&set.without(e)),
+                element: e,
+            };
             evaluations += 1;
-            if v > value && best.is_none_or(|(be, bv)| super::better_score(v, e, bv, be)) {
-                best = Some((e, v));
+            if rank.score > value && best.is_none_or(|b| rank > b) {
+                best = Some(rank);
             }
         }
         match best {
-            Some((e, v)) => {
-                set.remove(e);
-                value = v;
-                removed.push(e);
+            Some(best) => {
+                set.remove(best.element);
+                value = best.score;
+                removed.push(best.element);
             }
             None => break,
         }

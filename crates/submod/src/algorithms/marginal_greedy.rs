@@ -10,53 +10,20 @@
 //!
 //! Under the canonical decomposition of Proposition 1 the output satisfies
 //! the Theorem 1 guarantee, which Theorem 2 shows optimal unless P = NP.
-
-use std::time::Instant;
+//! The loop itself is the ratio-ranked greedy kernel, [`super::greedy`].
 
 use crate::bitset::BitSet;
 use crate::decompose::Decomposition;
 use crate::function::SetFunction;
 
-use super::{past_deadline, Outcome, Pick};
+use super::greedy::{select, Evaluation, Ranking};
+use super::Outcome;
 
-/// Configuration for [`marginal_greedy`] (and
-/// [`crate::algorithms::lazy::lazy_marginal_greedy`], which shares it).
-#[derive(Clone, Copy, Debug)]
-pub struct Config {
-    /// Section 5.1: while scanning candidates, permanently drop any element
-    /// whose current ratio is ≤ 1 — by submodularity of `f_M` its ratio can
-    /// only decrease in later iterations, so it would never be picked.
-    /// Changing this flag never changes the output, only the work done.
-    pub prune_ratio_below_one: bool,
-    /// Optional cardinality constraint `k` (Section 5.3): stop after `k`
-    /// elements have been selected (free-element additions count too).
-    pub max_picks: Option<usize>,
-    /// Anytime mode: stop before any round (or lazy refresh) that would
-    /// start past this instant, marking the outcome
-    /// [`Outcome::truncated`]; [`Outcome::remaining_bound`] certifies the
-    /// headroom left unexplored.
-    pub deadline: Option<Instant>,
-    /// Benefit floor: an accepted pick's marginal `f'_M(e, X)` must exceed
-    /// this in addition to the ratio rule (default `0.0`, the paper's
-    /// stopping rule — a ratio above 1 already implies a positive
-    /// marginal). Stopping on the floor marks the outcome truncated.
-    pub benefit_floor: f64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            prune_ratio_below_one: true,
-            max_picks: None,
-            deadline: None,
-            benefit_floor: 0.0,
-        }
-    }
-}
+pub use super::greedy::Config;
 
 /// Runs MarginalGreedy over the candidate elements in `candidates`
 /// (a subset of the ground set of `f`; pass `BitSet::full(n)` for the whole
-/// universe).
+/// universe): the eager, ratio-ranked run of the greedy kernel.
 ///
 /// `decomp` supplies the additive costs `c` and thereby the monotone part
 /// `f_M = f + c`. Use [`Decomposition::canonical`] for the guarantee of
@@ -73,119 +40,13 @@ pub fn marginal_greedy<F: SetFunction>(
     candidates: &BitSet,
     config: Config,
 ) -> Outcome {
-    let n = f.universe();
-    debug_assert_eq!(decomp.universe(), n);
-    debug_assert_eq!(candidates.universe(), n);
-
-    let mut out = Outcome::new(n);
-    let mut value = f.eval(&out.set);
-    out.evaluations += 1;
-
-    // Elements whose additive cost is non-positive are handled by the final
-    // phase; the ratio is meaningless (division by c ≤ 0).
-    let mut free: Vec<usize> = Vec::new();
-    let mut active: Vec<usize> = Vec::new();
-    for e in candidates.iter() {
-        if decomp.cost(e) > 0.0 {
-            active.push(e);
-        } else {
-            free.push(e);
-        }
-    }
-
-    let budget = config.max_picks.unwrap_or(usize::MAX);
-    // Last observed marginal per element; feeds the headroom certificate
-    // (see `greedy`). Pruned elements record their final (non-positive)
-    // marginal, so pruning never inflates the bound.
-    let mut gain = vec![f64::INFINITY; n];
-
-    while out.picks.len() < budget && !active.is_empty() {
-        if past_deadline(config.deadline) {
-            out.truncated = true;
-            break;
-        }
-        // One marginal_many batch per round: functions with a specialized
-        // `marginal` keep it (the default is a marginal loop), while batched
-        // oracles like the bestCost engine answer the whole round against
-        // one shared base. The ratio arithmetic is exactly
-        // `decomp.monotone_marginal / cost`.
-        let marginals = f.marginal_many(&active, &out.set);
-        // (pos in kept, element, ratio, marginal)
-        let mut best: Option<(usize, usize, f64, f64)> = None;
-        let mut kept = Vec::with_capacity(active.len());
-        for (&e, &m) in active.iter().zip(&marginals) {
-            let ratio = (m + decomp.cost(e)) / decomp.cost(e);
-            out.evaluations += 1;
-            gain[e] = m;
-            if config.prune_ratio_below_one && ratio <= 1.0 {
-                // Permanently pruned (Section 5.1): by submodularity of f_M
-                // the ratio only decreases as X grows, so e can never win.
-                continue;
-            }
-            kept.push(e);
-            if best.is_none_or(|(_, be, r, _)| super::better_score(ratio, e, r, be)) {
-                best = Some((kept.len() - 1, e, ratio, m));
-            }
-        }
-        active = kept;
-
-        match best {
-            Some((pos, e, ratio, m)) if ratio > 1.0 && m > config.benefit_floor => {
-                out.set.insert(e);
-                // The winner's marginal was already evaluated in the round's
-                // batch; no extra oracle call.
-                value += m;
-                out.picks.push(Pick {
-                    element: e,
-                    score: ratio,
-                    value_after: value,
-                });
-                active.swap_remove(pos);
-            }
-            Some((_, _, ratio, _)) if ratio > 1.0 => {
-                // Still profitable by the ratio rule, but below the floor.
-                out.truncated = true;
-                break;
-            }
-            _ => break,
-        }
-    }
-
-    // Final phase: add the elements with non-positive additive cost. Under
-    // the submodularity assumption this "can only raise the value of f"
-    // (monotone f_M minus a non-positive c); on functions that violate the
-    // assumption — real materialization-benefit functions may — a blind add
-    // could lower f, so each element is admitted only if its actual
-    // marginal is non-negative. When f is submodular the check always
-    // passes and the output matches Algorithm 2 exactly.
-    for e in free {
-        if out.set.len() >= budget {
-            break;
-        }
-        if past_deadline(config.deadline) {
-            // Unevaluated free elements stay at gain = +∞: the headroom
-            // bound degrades to vacuous rather than silently excluding
-            // them.
-            out.truncated = true;
-            break;
-        }
-        let delta = f.marginal(e, &out.set);
-        out.evaluations += 1;
-        gain[e] = delta;
-        if delta >= 0.0 {
-            out.set.insert(e);
-            value += delta;
-            out.free_elements.push(e);
-        }
-    }
-
-    out.remaining_bound = candidates
-        .iter()
-        .filter(|&e| !out.set.contains(e))
-        .map(|e| gain[e].max(0.0))
-        .sum();
-    out.value = value;
-    out
+    select(
+        f,
+        Ranking::Ratio(decomp),
+        Evaluation::Eager,
+        candidates,
+        config,
+    )
 }
 
 /// Convenience wrapper: canonical decomposition + full universe + defaults.
@@ -285,38 +146,6 @@ mod tests {
             },
         );
         assert_eq!(out.set.len(), 2);
-    }
-
-    #[test]
-    fn pruning_does_not_change_result() {
-        for seed in 0..20 {
-            let f = random_coverage_minus_cost(
-                CoverageParams {
-                    n_sets: 10,
-                    n_items: 16,
-                    ..Default::default()
-                },
-                1.0,
-                seed,
-            );
-            let decomp = Decomposition::canonical(&f);
-            let full = BitSet::full(10);
-            let pruned = marginal_greedy(&f, &decomp, &full, Config::default());
-            let unpruned = marginal_greedy(
-                &f,
-                &decomp,
-                &full,
-                Config {
-                    prune_ratio_below_one: false,
-                    ..Default::default()
-                },
-            );
-            assert_eq!(pruned.set, unpruned.set, "seed {seed}");
-            assert!(
-                pruned.evaluations <= unpruned.evaluations,
-                "pruning must not increase work (seed {seed})"
-            );
-        }
     }
 
     #[test]

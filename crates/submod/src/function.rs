@@ -38,8 +38,9 @@ pub trait SetFunction {
     /// loop; like `eval` it takes `&self`, with interior mutability for any
     /// caching.
     ///
-    /// Greedy strategies evaluate every candidate of a round against one
-    /// shared base set, so oracles with incremental evaluation (the
+    /// A batch shares one base set (a greedy round's candidates, reached
+    /// through [`Self::marginal_many`], or the Theorem 4 pre-pass's
+    /// singletons), so oracles with incremental evaluation (the
     /// `bestCost` engine) override this to align their committed base with
     /// the batch once and answer each candidate from a minimal overlay —
     /// one full recomputation per round instead of one per candidate. A

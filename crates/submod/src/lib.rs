@@ -9,11 +9,12 @@
 //!   setting are instances of it; see the `mqo-core` crate).
 //! * [`decompose::Decomposition`] — Proposition 1's canonical decomposition
 //!   `f = f*_M − c*` (and Proposition 2's improvement procedure).
-//! * [`algorithms::marginal_greedy`] — Algorithm 2 (MarginalGreedy) with its
+//! * [`algorithms::greedy`] — the one greedy kernel: Algorithm 1, the
+//!   Greedy heuristic of Roy et al. \[23], and Algorithm 2, MarginalGreedy,
+//!   each eager or with the lazy heap of §5.2, under one stop-rule config
+//!   and one headroom certificate.
+//! * [`algorithms::marginal_greedy`] — Algorithm 2 run eagerly, with its
 //!   Theorem 1 guarantee under the canonical decomposition.
-//! * [`algorithms::lazy`] — the LazyMarginalGreedy acceleration (§5.2).
-//! * [`algorithms::greedy`] — Algorithm 1, the Greedy heuristic of Roy et
-//!   al. \[23], plus its LazyGreedy acceleration.
 //! * [`algorithms::cardinality`] — the Theorem 4 universe reduction for
 //!   the §5.3 cardinality-constrained variant (MarginalGreedy with
 //!   `max_picks`).

@@ -7,9 +7,9 @@
 
 use mqo_submod::algorithms::cardinality::universe_reduction;
 use mqo_submod::algorithms::exhaustive::exhaustive_max;
-use mqo_submod::algorithms::greedy::{greedy, lazy_greedy, Config as GreedyConfig};
-use mqo_submod::algorithms::lazy::lazy_marginal_greedy;
+use mqo_submod::algorithms::greedy::{select, Config as GreedyConfig, Evaluation, Ranking};
 use mqo_submod::algorithms::marginal_greedy::{marginal_greedy, Config};
+use mqo_submod::algorithms::Outcome;
 use mqo_submod::bitset::{all_subsets, BitSet};
 use mqo_submod::bounds::theorem1_lower_bound;
 use mqo_submod::decompose::Decomposition;
@@ -23,6 +23,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 const CASES: u64 = 64;
 const SWEEP_SEED: u64 = 0x5EED_0001;
+
+/// Algorithm 1, eager: the benefit-ranked greedy kernel.
+fn greedy<F: SetFunction>(f: &F, candidates: &BitSet, config: Config) -> Outcome {
+    select(f, Ranking::Benefit, Evaluation::Eager, candidates, config)
+}
+
+/// Algorithm 1 with the Minoux heap.
+fn lazy_greedy<F: SetFunction>(f: &F, candidates: &BitSet, config: Config) -> Outcome {
+    select(f, Ranking::Benefit, Evaluation::Lazy, candidates, config)
+}
+
+/// Algorithm 2 with the Section 5.2 heap.
+fn lazy_marginal_greedy<F: SetFunction>(
+    f: &F,
+    d: &Decomposition,
+    candidates: &BitSet,
+    config: Config,
+) -> Outcome {
+    select(f, Ranking::Ratio(d), Evaluation::Lazy, candidates, config)
+}
 
 /// A seeded coverage-minus-cost instance with n_sets in [4, 10] — the
 /// proptest strategy of the original suite, drawn from the case's PRNG.

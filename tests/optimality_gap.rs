@@ -228,20 +228,28 @@ fn converged_certificates_never_certify_below_one() {
     });
 }
 
+/// The sub-batch of BQ4 holding the queries whose bits are set in `mask`.
+fn bq4_sub_batch(mask: u32) -> OptimizedBatch {
+    let w = mqo_tpcd::batched(4, 1.0);
+    let queries = w
+        .queries
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| mask >> i & 1 == 1)
+        .map(|(_, q)| q);
+    Session::builder()
+        .context(w.ctx)
+        .queries(queries)
+        .cost_model(DiskCostModel::paper())
+        .build()
+}
+
 /// Runs MarginalGreedy on every sub-batch of BQ4 at threads 1 and 4 and
 /// hands each report to `check` with its sub-batch mask and thread count.
 fn for_each_bq4_sub_batch_run(mut check: impl FnMut(u32, usize, &RunReport)) {
-    let pool = mqo_tpcd::batched(4, 1.0).queries;
-    for mask in 1u32..(1 << pool.len()) {
-        let w = mqo_tpcd::batched(4, 1.0);
-        let queries = (0..pool.len())
-            .filter(|i| mask >> i & 1 == 1)
-            .map(|i| pool[i].clone());
-        let batch = Session::builder()
-            .context(w.ctx)
-            .queries(queries)
-            .cost_model(DiskCostModel::paper())
-            .build();
+    let pool = mqo_tpcd::batched(4, 1.0).queries.len();
+    for mask in 1u32..(1 << pool) {
+        let batch = bq4_sub_batch(mask);
         for threads in [1usize, 4] {
             let r = batch.run_with(Strategy::MarginalGreedy, MqoConfig::with_threads(threads));
             check(mask, threads, &r);
@@ -276,6 +284,78 @@ fn empty_picks_report_the_volcano_cost_exactly() {
         );
     });
     assert!(empty_picks > 0, "the sweep must cover empty picks");
+}
+
+/// The stop rules all four greedy strategies share, on BQ4 and on its
+/// largest sub-batch the exhaustive ground truth affords (queries 0 and 4,
+/// 19 shareable nodes), at threads 1 and 4: a zero time budget, an
+/// unreachable benefit floor and a cap of two materializations stop every
+/// strategy alike, and no certificate promises less than the optimum.
+#[test]
+fn stop_rules_agree_across_greedy_strategies() {
+    use std::time::Duration;
+    let greedy = [
+        Strategy::Greedy,
+        Strategy::LazyGreedy,
+        Strategy::MarginalGreedy,
+        Strategy::LazyMarginalGreedy,
+    ];
+    for mask in [0xff, 0b1_0001] {
+        let batch = bq4_sub_batch(mask);
+        let optimum =
+            (batch.universe_size() <= 20).then(|| batch.run(Strategy::Exhaustive).total_cost);
+        for threads in [1usize, 4] {
+            let base = MqoConfig::with_threads(threads);
+            for (setting, config) in [
+                (
+                    "zero budget",
+                    MqoConfig {
+                        time_budget: Some(Duration::ZERO),
+                        ..base
+                    },
+                ),
+                (
+                    "floor",
+                    MqoConfig {
+                        marginal_floor: f64::MAX,
+                        ..base
+                    },
+                ),
+                (
+                    "k = 2",
+                    MqoConfig {
+                        max_materializations: Some(2),
+                        ..base
+                    },
+                ),
+            ] {
+                let mut truncated = None;
+                for strategy in greedy {
+                    let at = format!("BQ4 mask {mask:#b} threads {threads} {setting} {strategy:?}");
+                    let r = batch.run_with(strategy, config);
+                    let cert = r.gap_certificate.expect("greedy runs certify");
+                    let first = *truncated.get_or_insert(cert.truncated);
+                    assert_eq!(first, cert.truncated, "{at}: truncation differs");
+                    match setting {
+                        "zero budget" => {
+                            assert!(cert.truncated && cert.ratio == f64::INFINITY, "{at}")
+                        }
+                        "floor" => {
+                            assert!(cert.ratio.is_finite(), "{at}: every candidate was observed")
+                        }
+                        _ => assert!(r.materialized.len() <= 2, "{at}: cap exceeded"),
+                    }
+                    if let Some(optimum) = optimum {
+                        assert!(
+                            cert.cost_lower_bound <= optimum + 1e-6 * (1.0 + optimum),
+                            "{at}: lower bound {} above the optimum {optimum}",
+                            cert.cost_lower_bound
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
