@@ -10,9 +10,6 @@
 //!    vs an inflated one — achieved benefit comparison.
 //! 5. **Cleanup extension**: how far the workload's `mb` deviates from the
 //!    submodularity assumption.
-//! 6. **Rebase threshold** (`MqoConfig`): identical answers across
-//!    thresholds; the default of 4 balances overlay size against full
-//!    recomputations.
 
 use mqo_bench::timing::measure;
 use mqo_core::batch::BatchDag;
@@ -151,39 +148,5 @@ fn main() {
             plain.materialized.len(),
             cleaned.materialized.len()
         );
-    }
-
-    println!("\n== 6. Rebase threshold (MqoConfig) ==");
-    {
-        let w = mqo_tpcd::batched(4, 1.0);
-        let session = Session::builder()
-            .context(w.ctx)
-            .queries(w.queries)
-            .cost_model(cm)
-            .build();
-        let reference = session.run(Strategy::Greedy);
-        for threshold in [0usize, 2, 8, usize::MAX] {
-            // threads pinned to 1: this ablation isolates the rebase
-            // threshold, so an exported MQO_THREADS must not confound the
-            // timings with thread-spawn overhead.
-            let config = MqoConfig {
-                rebase_threshold: threshold,
-                force_full: false,
-                threads: 1,
-                ..Default::default()
-            };
-            let (r, dt) = measure(|| session.run_with(Strategy::Greedy, config));
-            assert!((r.total_cost - reference.total_cost).abs() < 1e-6);
-            assert_eq!(r.materialized, reference.materialized);
-            let label = if threshold == usize::MAX {
-                "∞ (never rebase)".to_string()
-            } else {
-                threshold.to_string()
-            };
-            println!(
-                "BQ4, threshold {label}: cost {:.0} in {dt:?} (same answer as default)",
-                r.total_cost
-            );
-        }
     }
 }

@@ -17,11 +17,11 @@
 //! [`BatchDag::add_query_with_threads`] and
 //! [`BatchDag::retire_query_with_threads`] grow and shrink the live batch.
 //! The memo is append-only: an admission extends it through the seeded
-//! expansion fixpoint and recomputes the shareable universe from the
-//! memo's [`MemoDelta`]; a retire or rollback rebuilds it from the
-//! surviving queries' plans. Either way the commit swaps in a fresh
-//! topological view, and universe *slots* stay stable across evolutions
-//! (retired elements are tombstoned, never renumbered).
+//! expansion fixpoint, and a retire or rollback rebuilds it from the
+//! surviving queries' plans. Either way the commit recounts the shareable
+//! universe from the memo as it stands and swaps in a fresh topological
+//! view, and universe *slots* stay stable across evolutions (retired
+//! elements are tombstoned, never renumbered).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -31,12 +31,12 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use mqo_volcano::cost::CostModel;
 use mqo_volcano::fphash::FpHasher;
 use mqo_volcano::logical::LogicalOp;
-use mqo_volcano::memo::{GroupId, Memo, MemoDelta, TopoView};
+use mqo_volcano::memo::{GroupId, Memo, TopoView};
 use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
 use mqo_volcano::{DagContext, PlanNode};
 
 use crate::config::MqoConfig;
-use crate::engine::{BestCostEngine, CompileCache, EngineArenas, EngineState};
+use crate::engine::{CompileCache, EngineArenas, EngineState};
 use crate::error::MqoError;
 use crate::fault::{self, FaultSite};
 
@@ -105,24 +105,14 @@ pub struct BatchDag {
     /// Canonical group slot → universe element (`u32::MAX` = not in the
     /// universe).
     elem_of_group: Vec<u32>,
-    /// Per-group-slot reference counts (with multiplicity) over live
-    /// expressions; kept incrementally from evolution deltas.
-    refs: Vec<u32>,
-    /// Bumped whenever an evolution commit changes the sequence of live
-    /// universe slots (see [`BatchDag::universe_epoch`]).
-    universe_epoch: u64,
-    /// Fingerprints of the live universe slots, in slot order, as of the
-    /// last epoch stamp: the id-free key the epoch is bumped against, so a
-    /// rebuild that only renumbers groups leaves the epoch alone.
-    epoch_key: Vec<u64>,
     /// Cumulative expansion statistics (initial build plus evolutions).
     expansion: ExpansionStats,
     /// Lazily computed dense topological view of the current memo state;
     /// evolution commits swap in a fresh cell, so engines holding the old
     /// `Arc` keep a consistent snapshot.
     topo: OnceLock<Arc<TopoView>>,
-    /// Reusable engine-compilation state shared by every
-    /// [`BatchDag::compile_engine`] call on this batch.
+    /// Compile scratch buffers shared by every
+    /// [`BatchDag::compile_state`] call on this batch.
     engine_cache: Mutex<CompileCache>,
     /// Process-unique batch identity, stamped into every
     /// [`BatchSavepoint`] so [`BatchDag::try_rollback_with_threads`] can
@@ -169,15 +159,12 @@ impl BatchDag {
                 live: true,
             })
             .collect();
-        let mut refs = Vec::new();
-        recompute_refs(&memo, &mut refs);
-        let shareable = find_shareable_with_refs(&memo, root, &refs);
+        let shareable = find_shareable(&memo, root);
         // Initial universe: one live slot per shareable group, ascending.
-        let epoch_key = group_fingerprints(&memo, &shareable);
         let universe = shareable
             .iter()
-            .zip(&epoch_key)
-            .map(|(&g, &fingerprint)| UniverseSlot {
+            .zip(group_fingerprints(&memo, &shareable))
+            .map(|(&g, fingerprint)| UniverseSlot {
                 fingerprint,
                 group: g,
                 live: true,
@@ -193,18 +180,15 @@ impl BatchDag {
             universe,
             shareable,
             elem_of_group,
-            refs,
-            universe_epoch: 0,
-            epoch_key,
             next_ticket: queries.len() as u32,
             expansion,
             topo: OnceLock::new(),
-            engine_cache: Mutex::new(CompileCache::new()),
+            engine_cache: Mutex::new(CompileCache::default()),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
-    /// The expanded (frozen) memo.
+    /// The expanded memo as of the last commit.
     pub fn memo(&self) -> &Memo {
         &self.memo
     }
@@ -238,15 +222,6 @@ impl BatchDag {
         }
     }
 
-    /// Bumped whenever an evolution commit changes the sequence of live
-    /// universe slots, i.e. whenever some universe element index comes to
-    /// mean a different structural group. A rebuild that only renumbers
-    /// [`GroupId`]s, and a compaction that drops dead slots, leave it
-    /// alone.
-    pub fn universe_epoch(&self) -> u64 {
-        self.universe_epoch
-    }
-
     /// Sorted structural fingerprints of the live universe: the id-free
     /// identity of the shareable ground set, comparable across
     /// independently built batches (an evolved batch and a fresh build of
@@ -256,11 +231,6 @@ impl BatchDag {
         let mut fps = group_fingerprints(&self.memo, &self.shareable);
         fps.sort_unstable();
         fps
-    }
-
-    /// Total universe slots ever allocated (live plus tombstoned).
-    pub fn universe_slots(&self) -> usize {
-        self.universe.len()
     }
 
     /// Number of queries currently live in the batch.
@@ -313,10 +283,11 @@ impl BatchDag {
         self.shareable.len()
     }
 
-    /// The dense topological view of the expanded memo, computed once and
-    /// shared by every consumer (engine compilation, plan extraction,
-    /// diagnostics). Safe to cache without revalidation: the memo is
-    /// frozen behind `&self` accessors after construction.
+    /// The dense topological view of the memo as of the last commit,
+    /// computed on first use and shared by every consumer (engine
+    /// compilation, plan extraction, diagnostics). Safe to cache without
+    /// revalidation: the memo changes only through `&mut self` commits,
+    /// and each commit drops the cached view.
     pub fn topo_view(&self) -> &TopoView {
         self.topo_arc()
     }
@@ -335,52 +306,30 @@ impl BatchDag {
     fn lock_engine_cache(&self) -> MutexGuard<'_, CompileCache> {
         self.engine_cache.lock().unwrap_or_else(|poison| {
             let mut guard = poison.into_inner();
-            *guard = CompileCache::new();
+            *guard = CompileCache::default();
             guard
         })
     }
 
-    /// Compiles a [`BestCostEngine`] for this batch through the shared
-    /// [`CompileCache`]: the first compile seeds the cache with
-    /// [`BatchDag::topo_view`], and every recompile (e.g.
-    /// [`crate::session::OptimizedBatch::run_all`] building one engine per
-    /// strategy) skips the topological sort and reuses the compile scratch
-    /// buffers.
-    pub fn compile_engine(&self, cm: &dyn CostModel, config: MqoConfig) -> BestCostEngine {
-        let mut cache = self.lock_engine_cache();
-        cache.prime_topo(&self.memo, self.topo_arc());
-        BestCostEngine::with_cache(
-            &self.memo,
-            cm,
-            self.root,
-            &self.shareable,
-            config,
-            &mut cache,
-        )
-    }
-
-    /// Compiles an immutable [`EngineState`] snapshot of the current commit:
-    /// the shared engine arenas plus the universe and dense query roots,
-    /// stamped with the memo version so consumers can tell whether a held
-    /// snapshot is still current. Readers spin up per-caller
-    /// [`BestCostEngine`] handles from it ([`EngineState::engine`]) without
-    /// touching the batch again.
+    /// Compiles an immutable [`EngineState`] snapshot of the current commit
+    /// over [`BatchDag::topo_view`]: the shared engine arenas plus the
+    /// universe and dense query roots, stamped with the memo version so
+    /// consumers can tell whether a held snapshot is still current. Readers
+    /// spin up per-caller [`crate::engine::BestCostEngine`] handles from it
+    /// ([`EngineState::engine`]) without touching the batch again.
     pub fn compile_state(&self, cm: &dyn CostModel) -> EngineState {
-        let mut cache = self.lock_engine_cache();
-        cache.prime_topo(&self.memo, self.topo_arc());
+        let topo = self.topo_arc();
         let arenas = Arc::new(EngineArenas::compile(
             &self.memo,
+            Arc::clone(topo),
             cm,
             self.root,
             &self.shareable,
-            &mut cache,
+            &mut self.lock_engine_cache(),
         ));
-        drop(cache);
-        let topo = self.topo_arc();
         let query_roots = self.query_roots.iter().map(|&q| topo.dense(q)).collect();
         EngineState::assemble(
             self.memo.version(),
-            self.universe_epoch,
             arenas,
             self.shareable.clone(),
             query_roots,
@@ -409,7 +358,7 @@ impl BatchDag {
     /// not touched: it already holds exactly the survivors (every retire
     /// rebuilds it), so compaction never re-expands. Outstanding tickets
     /// stay valid (they carry stable ids), and the live slots keep their
-    /// order, so universe elements and the epoch are unchanged.
+    /// order, so universe elements are unchanged.
     pub fn compact_history(&mut self) {
         self.entries.retain(|e| e.live);
         self.universe.retain(|s| s.live);
@@ -422,18 +371,15 @@ impl BatchDag {
     /// Admits a new query into the live batch without a full rebuild: the
     /// plan is appended to the memo, the expansion fixpoint re-runs seeded
     /// with only the freshly interned expressions, and the shareable
-    /// universe is extended incrementally from the memo delta (new
-    /// shareable groups append universe slots; existing slots keep their
-    /// element index).
+    /// universe is recounted from the grown memo (new shareable groups
+    /// append universe slots; existing slots keep their element index).
     pub fn add_query_with_threads(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
-        self.memo.delta_begin();
         let watermark = self.memo.exprs_allocated() as u32;
         let root = self.memo.insert_plan(plan);
         self.memo.add_query_root(root);
         let seeds = (watermark..self.memo.exprs_allocated() as u32).map(mqo_volcano::ExprId);
         let stats = expand_seeded(&mut self.memo, &self.rules, threads, seeds);
         self.root = self.memo.build_batch_root();
-        let delta = self.memo.delta_take();
         self.expansion.passes += stats.passes;
         self.expansion.candidates += stats.candidates;
 
@@ -445,7 +391,6 @@ impl BatchDag {
             root: self.memo.find(root),
             live: true,
         });
-        apply_delta_to_refs(&self.memo, &delta, &mut self.refs);
         // Chaos-test window: the memo has the new query's expressions but
         // the evolution is not yet committed — exactly the state a serving
         // round's rollback must be able to unwind.
@@ -517,12 +462,11 @@ impl BatchDag {
         for entry in self.entries.iter_mut().filter(|e| e.live) {
             entry.root = self.memo.find(entry.root);
         }
-        recompute_refs(&self.memo, &mut self.refs);
         self.commit_evolution();
     }
 
-    /// Shared tail of every evolution commit: recompute the shareable set
-    /// from the (already updated) reference counts, re-match it against
+    /// Shared tail of every evolution commit: recount the shareable set
+    /// from the memo as it stands, re-match it against
     /// the stable universe slots by structural fingerprint, rebuild the
     /// element index, refresh cached roots, and swap in a fresh topo cell
     /// so `run*` consumers see a consistent new snapshot.
@@ -530,7 +474,7 @@ impl BatchDag {
         self.query_roots = self.memo.roots();
         self.expansion.exprs = self.memo.n_exprs();
         self.expansion.groups = self.memo.n_groups();
-        let new_shareable = find_shareable_with_refs(&self.memo, self.root, &self.refs);
+        let new_shareable = find_shareable(&self.memo, self.root);
         let fps = group_fingerprints(&self.memo, &new_shareable);
 
         // Match new shareable groups to existing slots by fingerprint
@@ -573,16 +517,6 @@ impl BatchDag {
             .map(|s| s.group)
             .collect();
         self.elem_of_group = build_elem_of_group(&self.memo, &self.shareable);
-        let key: Vec<u64> = self
-            .universe
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| s.fingerprint)
-            .collect();
-        if key != self.epoch_key {
-            self.epoch_key = key;
-            self.universe_epoch += 1;
-        }
         // Swap the topo cell: engines holding the old Arc keep a frozen
         // consistent snapshot; new compiles see the evolved memo.
         self.topo = OnceLock::new();
@@ -620,8 +554,7 @@ impl BatchDag {
     /// Rewinds every evolution commit made since `sp` was taken: tickets,
     /// universe slots, and the live query set return to the snapshot
     /// state, and the memo is rebuilt from the snapshot's live queries (a
-    /// rollback costs a rebuild). The universe epoch bumps only when the
-    /// rewind actually changes the sequence of live universe slots.
+    /// rollback costs a rebuild).
     ///
     /// # Panics
     /// If `sp` is stale: taken on a different batch, or already rolled
@@ -668,15 +601,20 @@ impl BatchDag {
 /// root when the same query is submitted twice, or a self-join of a shared
 /// view).
 ///
-/// Allocation-light by construction: one pass over the live expression
-/// arena accumulates reference counts into a flat per-slot buffer, and one
-/// DFS over group children marks reachability — no per-group parent-list
-/// vectors (the pre-`Session` implementation called
-/// `Memo::group_parents(g)`, which allocates and sorts a `Vec`, for every
-/// reachable group).
-fn find_shareable_with_refs(memo: &Memo, root: GroupId, refs: &[u32]) -> Vec<GroupId> {
+/// A pure function of the memo as it stands, so every commit — build,
+/// admission, retire, rollback — calls it and nothing derived from the
+/// memo is patched incrementally. Allocation-light: one pass over the
+/// live expression arena accumulates reference counts into a flat
+/// per-slot buffer, and one DFS over group children marks reachability.
+fn find_shareable(memo: &Memo, root: GroupId) -> Vec<GroupId> {
     let n_slots = memo.n_group_slots();
     let root = memo.find(root);
+    let mut refs = vec![0u32; n_slots];
+    for e in memo.expr_ids() {
+        for &c in memo.children(e) {
+            refs[memo.find(c).0 as usize] += 1;
+        }
+    }
 
     // DFS reachability from the batch root, filtering as we go.
     let mut seen = vec![false; n_slots];
@@ -704,54 +642,6 @@ fn find_shareable_with_refs(memo: &Memo, root: GroupId, refs: &[u32]) -> Vec<Gro
     }
     out.sort_unstable();
     out
-}
-
-/// Reference counts from scratch: one pass over the live expression arena
-/// (pass 1 of the original `find_shareable`). Used by the initial build
-/// and by the rebuild behind retire and rollback.
-fn recompute_refs(memo: &Memo, refs: &mut Vec<u32>) {
-    refs.clear();
-    refs.resize(memo.n_group_slots(), 0);
-    for e in memo.expr_ids() {
-        for &c in memo.children(e) {
-            refs[memo.find(c).0 as usize] += 1;
-        }
-    }
-}
-
-/// Applies an evolution step's [`MemoDelta`] to the per-slot reference
-/// counts, maintaining the invariant `refs[s] = Σ multiplicity of s in
-/// find(children(e))` over live expressions — without rescanning the
-/// arena:
-///
-/// 1. each union transfers the dropped slot's count to the kept slot
-///    (every old reference now resolves there);
-/// 2. each tombstoned *pre-existing* expression subtracts its (current,
-///    post-rewrite) children — its original contribution was carried to
-///    exactly those slots by step 1, because stored children are only
-///    ever rewritten to representatives;
-/// 3. each surviving *new* expression adds its children. New-then-dead
-///    expressions cancel out and are skipped by both 2 and 3.
-fn apply_delta_to_refs(memo: &Memo, delta: &MemoDelta, refs: &mut Vec<u32>) {
-    refs.resize(memo.n_group_slots(), 0);
-    for &(keep, drop) in &delta.merges {
-        let moved = std::mem::replace(&mut refs[drop.0 as usize], 0);
-        refs[keep.0 as usize] += moved;
-    }
-    for &e in &delta.tombstoned {
-        if (e.0 as usize) < delta.exprs_before {
-            for &c in memo.children(e) {
-                refs[memo.find(c).0 as usize] -= 1;
-            }
-        }
-    }
-    for e in delta.new_exprs() {
-        if memo.is_alive(e) {
-            for &c in memo.children(e) {
-                refs[memo.find(c).0 as usize] += 1;
-            }
-        }
-    }
 }
 
 /// Structural fingerprints for `groups`: a bottom-up hash over the memo's
@@ -984,12 +874,10 @@ mod tests {
         let base = example1_queries(&mut ctx2);
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
-        let epoch0 = evolved.universe_epoch();
         let t = evolved.add_query_with_threads(&q3, 1);
         assert!(evolved.is_live(t));
         assert_eq!(evolved.live_queries(), 3);
         assert_equivalent(&evolved, &fresh, "add q3");
-        let _ = epoch0;
         // Stable slots: the base batch's universe elements keep their
         // element indices after the add (new elements only append).
         let base_universe = {

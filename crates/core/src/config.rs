@@ -2,7 +2,7 @@
 //!
 //! One [`MqoConfig`] drives the whole pipeline a [`crate::Session`] owns:
 //! the expansion fixpoint's candidate-generation fan-out, the compiled
-//! `bestCost` oracle's evaluation strategy (rebase threshold, ablation
+//! `bestCost` oracle's evaluation strategy (the full-solve ablation
 //! switch), and the sharded batched evaluation. It absorbs what used to be
 //! `EngineConfig` plus the expansion thread count, so the `MQO_THREADS`
 //! environment variable is read in exactly one place:
@@ -38,11 +38,6 @@ pub enum DecompositionKind {
 /// cardinality cap legitimately changes the chosen set).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MqoConfig {
-    /// Rebase (commit a full `bestCost` solve) when a candidate differs
-    /// from the committed base in more than this many universe elements;
-    /// smaller diffs take the allocation-free overlay path. `0` rebases on
-    /// every non-base evaluation.
-    pub rebase_threshold: usize,
     /// When true, every oracle evaluation runs the full DP (ablation
     /// switch).
     pub force_full: bool,
@@ -90,7 +85,6 @@ pub struct MqoConfig {
 impl Default for MqoConfig {
     fn default() -> Self {
         MqoConfig {
-            rebase_threshold: 4,
             force_full: false,
             threads: expand_threads_from_env(),
             decomposition: DecompositionKind::Canonical,
@@ -137,8 +131,6 @@ mod tests {
     fn serial_and_with_threads_pin_the_thread_count() {
         assert_eq!(MqoConfig::serial().threads, 1);
         assert_eq!(MqoConfig::with_threads(7).threads, 7);
-        let d = MqoConfig::default();
-        assert_eq!(MqoConfig::serial().rebase_threshold, d.rebase_threshold);
         assert!(!MqoConfig::serial().force_full);
     }
 

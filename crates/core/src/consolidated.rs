@@ -43,7 +43,8 @@ impl ConsolidatedPlan {
     /// plan to its [`crate::strategies::RunReport`] without recompiling —
     /// this entry point serves callers holding only a chosen set.
     pub fn extract(batch: &BatchDag, cm: &dyn CostModel, materialized: &[GroupId]) -> Self {
-        let engine = batch.compile_engine(cm, MqoConfig::serial());
+        let state = batch.compile_state(cm);
+        let engine = state.engine(MqoConfig::serial());
         let n = batch.universe_size();
         let set = BitSet::from_iter(
             n,
@@ -53,12 +54,7 @@ impl ConsolidatedPlan {
                     .expect("materialized node outside the shareable universe")
             }),
         );
-        let roots: Vec<u32> = batch
-            .query_roots()
-            .iter()
-            .map(|&q| engine.topo.dense(q))
-            .collect();
-        Self::extract_with_engine(&roots, &engine, &set)
+        Self::extract_with_engine(state.query_roots_dense(), &engine, &set)
     }
 
     /// Extraction against an already compiled engine (the path

@@ -317,17 +317,12 @@ pub(crate) enum OutOrder {
     InheritChild0,
 }
 
-/// Reusable compilation state for [`BestCostEngine::with_cache`]: the
-/// memo's [`TopoView`] (rebuilt only when the memo's fingerprint changes)
-/// plus the scratch buffers of the counted CSR build. Recompiling the same
-/// memo through one cache — as [`crate::batch::BatchDag::compile_engine`]
-/// does — skips the topological sort entirely and reuses every temporary
-/// buffer, so a recompile allocates only the engine's own arenas.
+/// The scratch buffers of the counted CSR build behind
+/// [`EngineArenas::compile`]. A batch keeps one across its compiles
+/// ([`crate::batch::BatchDag::compile_state`]), so a recompile allocates
+/// only the engine's own arenas.
 #[derive(Debug, Default)]
-pub struct CompileCache {
-    topo: Option<Arc<TopoView>>,
-    /// Fingerprint of the memo the cached view was built from.
-    sig: (usize, usize, usize, u64),
+pub(crate) struct CompileCache {
     /// Per-state emitted-option counts (counted pass).
     opt_cnt: Vec<u32>,
     /// Emission-order option records: owning state, operator cost, output
@@ -348,59 +343,10 @@ pub struct CompileCache {
     group_of_state: Vec<u32>,
 }
 
-impl CompileCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A cheap fingerprint of the memo's structure: any insert grows the
-    /// allocation count, any merge shrinks the live-*group* count (even
-    /// when no expression is tombstoned), and tombstoning shrinks the
-    /// live-expression count. The fourth component is the memo's monotone
-    /// delta epoch ([`Memo::version`]): a rebuild after a retire or
-    /// rollback can land on a state whose three counts alias an earlier
-    /// compile, but the version never decreases, so a cached view can
-    /// never be served across *any* mutation — including a reset.
-    pub(crate) fn signature(memo: &Memo) -> (usize, usize, usize, u64) {
-        (
-            memo.exprs_allocated(),
-            memo.n_groups(),
-            memo.n_exprs(),
-            memo.version(),
-        )
-    }
-
-    /// The cached [`TopoView`] for `memo`, rebuilding it when the memo
-    /// changed since the last compile. The view is shared by `Arc`, so
-    /// handing it to an engine copies a pointer, not the arenas.
-    fn topo_for(&mut self, memo: &Memo) -> Arc<TopoView> {
-        let sig = Self::signature(memo);
-        if self.topo.is_none() || self.sig != sig {
-            self.topo = Some(Arc::new(memo.topo_view()));
-            self.sig = sig;
-        }
-        Arc::clone(self.topo.as_ref().expect("just ensured"))
-    }
-
-    /// Seeds the cached view from an externally computed one (cloning it),
-    /// so the first compile through this cache skips the topological sort
-    /// too.
-    ///
-    /// **Contract:** `topo` must have been built from `memo` in its
-    /// *current* state — the cache stamps it with the current fingerprint
-    /// and cannot tell a stale view apart from a fresh one. The only
-    /// in-repo caller, `BatchDag::compile_engine`, enforces this by
-    /// fingerprinting the memo when its `TopoView` is first computed and
-    /// asserting the memo is unchanged on every later access.
-    pub fn prime_topo(&mut self, memo: &Memo, topo: &Arc<TopoView>) {
-        let sig = Self::signature(memo);
-        if self.topo.is_none() || self.sig != sig {
-            self.topo = Some(Arc::clone(topo));
-            self.sig = sig;
-        }
-    }
-}
+/// A candidate within this many universe elements of the committed base
+/// takes the overlay path (and a commit that close is applied
+/// incrementally); a farther one is a full solve.
+const REBASE_THRESHOLD: usize = 4;
 
 /// Sentinel in `opt_c0`/`opt_c1`: this child slot is absent.
 const OPT_NONE: u32 = u32::MAX;
@@ -416,7 +362,7 @@ const OPT_SPILL: u32 = u32::MAX - 1;
 /// so concurrent readers each spin up a handle from the same snapshot
 /// without recompiling or blocking each other.
 pub struct EngineArenas {
-    /// Dense topological view of the memo (shared with the compile cache
+    /// Dense topological view of the memo (shared with the batch
     /// and the batch; owns the parent adjacency used for dirty-cone
     /// propagation).
     pub(crate) topo: Arc<TopoView>,
@@ -540,26 +486,15 @@ impl BestCostEngine {
         universe: &[GroupId],
         config: MqoConfig,
     ) -> Self {
-        Self::with_cache(memo, cm, root, universe, config, &mut CompileCache::new())
-    }
-
-    /// Compiles the engine through a reusable [`CompileCache`]: the cached
-    /// [`TopoView`] is reused whenever the memo is unchanged since the last
-    /// compile, and every temporary buffer of the counted CSR build is
-    /// recycled. This is the recompile path
-    /// [`crate::batch::BatchDag::compile_engine`] uses.
-    pub fn with_cache(
-        memo: &Memo,
-        cm: &dyn CostModel,
-        root: GroupId,
-        universe: &[GroupId],
-        config: MqoConfig,
-        cache: &mut CompileCache,
-    ) -> Self {
-        Self::from_arenas(
-            Arc::new(EngineArenas::compile(memo, cm, root, universe, cache)),
-            config,
-        )
+        let arenas = EngineArenas::compile(
+            memo,
+            Arc::new(memo.topo_view()),
+            cm,
+            root,
+            universe,
+            &mut CompileCache::default(),
+        );
+        Self::from_arenas(Arc::new(arenas), config)
     }
 
     /// A fresh per-caller handle over already-compiled shared arenas: the
@@ -606,18 +541,18 @@ impl std::ops::Deref for BestCostEngine {
 
 impl EngineArenas {
     /// Compiles the immutable arenas for a memo, cost model, and shareable
-    /// universe through a reusable [`CompileCache`]: the cached
-    /// [`TopoView`] is reused whenever the memo is unchanged since the
-    /// last compile, and every temporary buffer of the counted CSR build
-    /// is recycled.
+    /// universe over `topo`, the caller's [`TopoView`] of `memo` as it
+    /// stands, recycling the temporary buffers of the counted CSR build
+    /// from `cache`.
     pub(crate) fn compile(
         memo: &Memo,
+        topo: Arc<TopoView>,
         cm: &dyn CostModel,
         root: GroupId,
         universe: &[GroupId],
         cache: &mut CompileCache,
     ) -> EngineArenas {
-        let topo = cache.topo_for(memo);
+        debug_assert_eq!(topo.len(), memo.n_groups(), "stale TopoView");
         let n = topo.len();
 
         // 1. Interesting orders per group: demanded by join/aggregate
@@ -719,7 +654,6 @@ impl EngineArenas {
             cursor,
             child_cnt,
             group_of_state,
-            ..
         } = cache;
         group_of_state.clear();
         group_of_state.resize(n_states, 0);
@@ -1184,13 +1118,12 @@ impl BestCostEngine {
         // not the diff elements: the capped fused kernel answers it in one
         // blocked pass with an early exit, and the diff buffer is
         // materialized only when the overlay path actually consumes it.
-        let threshold = self.config.rebase_threshold;
-        let dist = set.symmetric_difference_len_capped(&self.base_set, threshold);
+        let dist = set.symmetric_difference_len_capped(&self.base_set, REBASE_THRESHOLD);
         if dist == 0 {
             scratch.incremental_evals += 1;
             return self.base_total;
         }
-        if dist > threshold {
+        if dist > REBASE_THRESHOLD {
             // Too far from base: rebase (full solve) and answer from it.
             self.rebase_with(scratch, set);
             return self.base_total;
@@ -1208,13 +1141,12 @@ impl BestCostEngine {
     /// element off the base goes through the cone memo
     /// ([`Self::cone_eval`]).
     fn bc_from_base<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
-        let threshold = self.config.rebase_threshold;
-        let dist = set.symmetric_difference_len_capped(&self.base_set, threshold);
+        let dist = set.symmetric_difference_len_capped(&self.base_set, REBASE_THRESHOLD);
         if dist == 0 {
             scratch.incremental_evals += 1;
             return self.base_total;
         }
-        if dist > threshold {
+        if dist > REBASE_THRESHOLD {
             scratch.full_evals += 1;
             return self.full_eval_with(scratch, set);
         }
@@ -1376,7 +1308,7 @@ impl BestCostEngine {
     /// [`Self::rebase`] against a caller-held scratch (whose stamps it
     /// invalidates: the overlays were relative to the dead base).
     ///
-    /// A target within `rebase_threshold` elements of the current base is
+    /// A target within [`REBASE_THRESHOLD`] elements of the current base is
     /// committed *incrementally* ([`Self::commit_diff`]): the greedy's
     /// every-round commit moves the base by exactly one element (the new
     /// pick), and a full bottom-up solve per round is the dominant fixed
@@ -1384,13 +1316,12 @@ impl BestCostEngine {
     /// base arenas are not yet solved — the full solve runs as before.
     fn rebase_with(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
         if self.base_compute.len() == self.n_states() {
-            let cap = self.config.rebase_threshold;
-            let dist = set.symmetric_difference_len_capped(&self.base_set, cap);
+            let dist = set.symmetric_difference_len_capped(&self.base_set, REBASE_THRESHOLD);
             if dist == 0 {
                 // The base already *is* this set; its arenas are exact.
                 return;
             }
-            if dist <= cap {
+            if dist <= REBASE_THRESHOLD {
                 self.load_diff(scratch, set);
                 self.commit_diff(scratch, set);
                 return;
@@ -1745,8 +1676,6 @@ pub struct EngineState {
     /// [`Memo::version`] at compile time — monotone, so two distinct
     /// batch states can never share a snapshot version.
     version: u64,
-    /// Universe epoch of the batch state this snapshot was compiled from.
-    universe_epoch: u64,
     arenas: Arc<EngineArenas>,
     /// Shareable universe: element `i` is group `shareable[i]`.
     shareable: Vec<GroupId>,
@@ -1756,17 +1685,15 @@ pub struct EngineState {
 
 impl EngineState {
     /// Assembles a snapshot; callers guarantee `arenas` was compiled from
-    /// the batch state identified by `(version, universe_epoch)`.
+    /// the memo state stamped `version`.
     pub(crate) fn assemble(
         version: u64,
-        universe_epoch: u64,
         arenas: Arc<EngineArenas>,
         shareable: Vec<GroupId>,
         query_roots: Vec<u32>,
     ) -> Self {
         EngineState {
             version,
-            universe_epoch,
             arenas,
             shareable,
             query_roots,
@@ -1776,11 +1703,6 @@ impl EngineState {
     /// The memo version this snapshot was compiled at.
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// The universe epoch this snapshot was compiled at.
-    pub fn universe_epoch(&self) -> u64 {
-        self.universe_epoch
     }
 
     /// The shareable-universe size.
@@ -2040,14 +1962,6 @@ mod tests {
     use mqo_volcano::rules::RuleSet;
     use mqo_volcano::{Constraint, DagContext, PlanNode, Predicate};
 
-    /// All subsets of a small universe (helper for exhaustive sweeps).
-    pub(super) fn all_small_subsets(n: usize) -> Vec<BitSet> {
-        assert!(n <= 8);
-        (0u32..(1 << n))
-            .map(|mask| BitSet::from_iter(n, (0..n).filter(|e| mask >> e & 1 == 1)))
-            .collect()
-    }
-
     /// The two-query fixture plus a third (A⋈D) plan kept aside for
     /// evolution tests.
     fn build_batch_and_extra() -> (BatchDag, PlanNode) {
@@ -2203,35 +2117,6 @@ mod tests {
     }
 
     #[test]
-    fn rebase_threshold_zero_always_rebases() {
-        let batch = build_batch();
-        let cm = DiskCostModel::paper();
-        let mut eager = BestCostEngine::with_config(
-            batch.memo(),
-            &cm,
-            batch.root(),
-            batch.shareable(),
-            MqoConfig {
-                rebase_threshold: 0,
-                ..Default::default()
-            },
-        );
-        let mut lazy = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
-        let n = batch.universe_size();
-        for e in 0..n.min(6) {
-            let set = BitSet::from_iter(n, [e]);
-            let a = eager.bc(&set);
-            let b = lazy.bc(&set);
-            assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
-        }
-        let (full_evals, _) = eager.eval_counts();
-        assert!(
-            full_evals >= n.min(6) as u64,
-            "threshold 0 must rebase per distinct set"
-        );
-    }
-
-    #[test]
     fn bc_empty_is_locally_optimal_cost() {
         // bc(∅) must not exceed the cost of any particular plan; a weak
         // sanity bound: it is positive and finite.
@@ -2312,8 +2197,9 @@ mod tests {
     fn sharded_handles_far_candidates_and_odd_batches() {
         // Batches whose candidates sit past the rebase threshold (workers
         // must answer them by uncommitted full solves) and batch sizes that
-        // do not divide evenly across workers.
-        let batch = build_batch();
+        // do not divide evenly across workers. BQ4's universe is wide
+        // enough for sets past the threshold of 4 elements.
+        let batch = bq4();
         let cm = DiskCostModel::paper();
         let n = batch.universe_size();
         let mut full = BestCostEngine::with_config(
@@ -2332,15 +2218,18 @@ mod tests {
             batch.root(),
             batch.shareable(),
             MqoConfig {
-                rebase_threshold: 0,
                 threads: 3,
                 ..Default::default()
             },
         );
-        // More sets than workers (odd split) with every non-base candidate
-        // past the zero threshold.
-        let mut sets: Vec<BitSet> = crate::engine::tests::all_small_subsets(n);
-        sets.push(BitSet::from_iter(n, [0]));
+        // More sets than workers (odd split): the empty base, every
+        // singleton, and prefixes of 5..=n elements past the threshold.
+        let mut sets: Vec<BitSet> = vec![BitSet::empty(n)];
+        sets.extend((0..n).map(|e| BitSet::from_iter(n, [e])));
+        sets.extend((5..=n).step_by(3).map(|k| BitSet::from_iter(n, 0..k)));
+        if sets.len().is_multiple_of(3) {
+            sets.pop();
+        }
         let vals = sharded.bc_many(&sets);
         for (s, &v) in sets.iter().zip(&vals) {
             let expect = full.bc(s);
@@ -2504,77 +2393,6 @@ mod tests {
         assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()));
     }
 
-    #[test]
-    fn compile_cache_invalidates_on_expression_preserving_merge() {
-        // A group merge can change the memo's topology without allocating
-        // or tombstoning a single expression (two parentless groups with
-        // structurally distinct members). The cache fingerprint must still
-        // invalidate the cached TopoView — it keys on the live-group
-        // count, which every merge shrinks.
-        let mut cat = Catalog::new();
-        for (name, rows) in [("a", 1000.0), ("b", 2000.0)] {
-            cat.add_table(
-                TableBuilder::new(name, rows)
-                    .key_column(format!("{name}_key"), 4)
-                    .column(format!("{name}_x"), 10.0, (0, 9), 4)
-                    .primary_key(&[&format!("{name}_key")])
-                    .build(),
-            );
-        }
-        let mut ctx = DagContext::new(cat);
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let ja = ctx.col(a, "a_key");
-        let jb = ctx.col(b, "b_x");
-        let ax = ctx.col(a, "a_x");
-        let mut memo = mqo_volcano::Memo::new(ctx);
-        let j =
-            memo.insert_plan(&PlanNode::scan(a).join(PlanNode::scan(b), Predicate::join(ja, jb)));
-        // Two structurally distinct full-range selects over the join:
-        // identical cardinalities, no parents.
-        let sel = |col, memo: &mut mqo_volcano::Memo| {
-            memo.insert(
-                mqo_volcano::logical::LogicalOp::Select(Predicate::on(
-                    col,
-                    Constraint::range(Some(0), Some(9)),
-                )),
-                vec![j],
-                None,
-            )
-        };
-        let g1 = sel(jb, &mut memo);
-        let g2 = sel(ax, &mut memo);
-        assert_ne!(memo.find(g1), memo.find(g2));
-
-        let cm = DiskCostModel::paper();
-        let cfg = MqoConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let mut cache = CompileCache::new();
-        let before = BestCostEngine::with_cache(&memo, &cm, g1, &[], cfg, &mut cache);
-        let counts = (memo.exprs_allocated(), memo.n_exprs(), memo.n_group_slots());
-        memo.merge(g1, g2);
-        // The merge preserved every allocation/liveness count an
-        // insufficient fingerprint might key on...
-        assert_eq!(
-            (memo.exprs_allocated(), memo.n_exprs(), memo.n_group_slots()),
-            counts
-        );
-        // ...but the recompile through the same cache must see the merged
-        // topology, exactly like a fresh compile.
-        let root = memo.find(g1);
-        let mut cached = BestCostEngine::with_cache(&memo, &cm, root, &[], cfg, &mut cache);
-        let mut fresh = BestCostEngine::with_config(&memo, &cm, root, &[], cfg);
-        assert!(
-            cached.n_states() < before.n_states(),
-            "stale TopoView survived the merge"
-        );
-        assert_eq!(cached.n_states(), fresh.n_states());
-        let empty = BitSet::empty(0);
-        assert_eq!(cached.bc(&empty), fresh.bc(&empty));
-    }
-
     /// A round of single-element candidates `base ∪ {e}` over every `e`
     /// outside `base`.
     fn round(base: &BitSet) -> Vec<BitSet> {
@@ -2598,19 +2416,16 @@ mod tests {
         BatchDag::build(w.ctx, &w.queries, &RuleSet::default())
     }
 
-    fn serial_engine(batch: &BatchDag, rebase_threshold: usize) -> BestCostEngine {
+    fn serial_engine(batch: &BatchDag) -> BestCostEngine {
         let cm = DiskCostModel::paper();
-        let config = MqoConfig {
-            rebase_threshold,
-            ..MqoConfig::serial()
-        };
+        let config = MqoConfig::serial();
         BestCostEngine::with_config(batch.memo(), &cm, batch.root(), batch.shareable(), config)
     }
 
     #[test]
     fn fresh_handles_start_with_an_empty_lazy_cone_memo() {
         let batch = bq4();
-        let engine = serial_engine(&batch, 4);
+        let engine = serial_engine(&batch);
         let mut handle = BestCostEngine::from_arenas(Arc::clone(engine.arenas()), engine.config);
         assert_eq!(handle.cones.entries.capacity(), 0);
         assert_eq!(handle.cones.group_gen.capacity(), 0);
@@ -2629,15 +2444,15 @@ mod tests {
     #[test]
     fn full_solve_rebase_drops_every_cone_entry() {
         let batch = bq4();
-        let mut engine = serial_engine(&batch, 1);
+        let mut engine = serial_engine(&batch);
         let n = engine.universe_size();
-        assert!(n >= 4, "fixture universe too small: {n}");
+        assert!(n >= 5, "fixture universe too small: {n}");
         let empty = BitSet::empty(n);
         engine.bc_many(&round(&empty));
         assert!((0..n).all(|e| engine.cones.valid(e).is_some()));
-        // Two elements away from the base: past the threshold of 1, so the
-        // commit is a full solve, which moves the base without stamping.
-        let far = BitSet::from_iter(n, [0, 1]);
+        // Five elements away from the base: past the rebase threshold, so
+        // the commit is a full solve, which moves the base without stamping.
+        let far = BitSet::from_iter(n, 0..5);
         let (full_before, _) = engine.eval_counts();
         engine.rebase(&far);
         assert_eq!(engine.eval_counts().0, full_before + 1);
@@ -2653,7 +2468,7 @@ mod tests {
     #[test]
     fn a_flipped_element_is_never_served_from_the_memo() {
         let batch = bq4();
-        let mut engine = serial_engine(&batch, 4);
+        let mut engine = serial_engine(&batch);
         let n = engine.universe_size();
         let empty = BitSet::empty(n);
         let first = engine.bc_many(&round(&empty));
@@ -2682,7 +2497,7 @@ mod tests {
         // addition. The top-of-lattice shape `U∖{e}` therefore never
         // records or reuses a cone: excluded by construction.
         let batch = bq4();
-        let mut engine = serial_engine(&batch, 4);
+        let mut engine = serial_engine(&batch);
         let mut full = BestCostEngine::with_config(
             batch.memo(),
             &DiskCostModel::paper(),

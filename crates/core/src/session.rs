@@ -104,8 +104,9 @@ impl SessionBuilder {
         self
     }
 
-    /// The unified pipeline configuration (rebase threshold, ablation
-    /// switch, worker threads for expansion *and* the sharded oracle).
+    /// The unified pipeline configuration (the full-solve ablation switch,
+    /// worker threads for expansion *and* the sharded oracle, the greedy
+    /// stopping rules).
     /// Defaults to [`MqoConfig::default`], which honors `MQO_THREADS`.
     pub fn config(mut self, config: MqoConfig) -> Self {
         self.config = config;
@@ -173,9 +174,9 @@ impl SessionBuilder {
 
 /// A fully expanded batch bound to a cost model and a configuration: the
 /// object the paper's experiments revolve around. Every
-/// [`OptimizedBatch::run`] compiles the `bestCost` engine through the
-/// batch's shared compile cache (the topological view and compile scratch
-/// are reused across strategies), runs the strategy's node selection, and
+/// [`OptimizedBatch::run`] spins up a `bestCost` engine handle over the
+/// current commit's compiled snapshot (compiled once per commit, over the
+/// batch's own topological view), runs the strategy's node selection, and
 /// extracts the consolidated physical plan from the compiled arenas.
 ///
 /// The batch is *evolvable*: [`OptimizedBatch::add_query`] admits a new
@@ -238,18 +239,18 @@ impl OptimizedBatch {
         run_strategy(&self.snapshot(), strategy, self.config)
     }
 
-    /// Optimizes the batch with several strategies, recompiling the engine
-    /// per strategy so timings are comparable. The session's configuration
-    /// is threaded through **every** strategy — the pre-`Session` free
-    /// function `compare` silently dropped a custom `EngineConfig` and ran
-    /// each strategy under the defaults.
+    /// Optimizes the batch with several strategies, each on a fresh engine
+    /// handle over the same snapshot so timings are comparable. The
+    /// session's configuration is threaded through **every** strategy —
+    /// the pre-`Session` free function `compare` silently dropped a custom
+    /// `EngineConfig` and ran each strategy under the defaults.
     pub fn run_all(&self, strategies: &[Strategy]) -> Vec<RunReport> {
         strategies.iter().map(|&s| self.run(s)).collect()
     }
 
     /// [`OptimizedBatch::run`] under a one-off configuration override
-    /// (ablations sweeping rebase thresholds or thread counts). The
-    /// session's own configuration is untouched.
+    /// (ablations sweeping thread counts, `force_full` or the pre-pass).
+    /// The session's own configuration is untouched.
     pub fn run_with(&self, strategy: Strategy, config: MqoConfig) -> RunReport {
         run_strategy(&self.snapshot(), strategy, config)
     }
@@ -519,7 +520,6 @@ mod tests {
         let mut ctx = ctx();
         let qs = two_queries(&mut ctx);
         let config = MqoConfig {
-            rebase_threshold: 0,
             force_full: true,
             threads: 1,
             ..Default::default()

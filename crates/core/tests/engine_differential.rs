@@ -1,9 +1,9 @@
 //! Differential sweeps for the sharded `bestCost` oracle on TPCD BQ4:
 //! sharded `bc_many` must be **bit-identical** to the serial path at every
-//! thread count and rebase threshold, and both must agree with the
-//! full-recomputation ablation to `1e-9` relative. A warm handle whose
-//! cone memo carries across greedy rounds must equal a cold handle
-//! committed to the same base, bitwise. (The root-level
+//! thread count, and both must agree with the full-recomputation ablation
+//! to `1e-9` relative. A warm handle whose cone memo carries across greedy
+//! rounds must equal a cold handle committed to the same base, bitwise.
+//! (The root-level
 //! `tests/engine_differential.rs` covers the serial incremental/batched
 //! paths; this sweep pins the parallel fan-out.)
 
@@ -49,50 +49,45 @@ fn round_batch(rng: &mut Prng, n: usize) -> Vec<BitSet> {
 }
 
 /// Sharded `bc_many` ≡ serial `bc_many`, exactly (`==` on every value),
-/// for threads ∈ {2, 3, 8} across rebase thresholds.
+/// for threads ∈ {2, 3, 8}.
 #[test]
 fn sharded_bc_many_is_bit_identical_to_serial_on_bq4() {
     let batch = bq4();
     let n = batch.universe_size();
     assert!(n > 0);
-    for threshold in [0usize, 4, usize::MAX] {
-        let serial = RefCell::new(engine(
+    let serial = RefCell::new(engine(
+        &batch,
+        MqoConfig {
+            threads: 1,
+            ..Default::default()
+        },
+    ));
+    for threads in [2usize, 3, 8] {
+        let sharded = RefCell::new(engine(
             &batch,
             MqoConfig {
-                rebase_threshold: threshold,
-                threads: 1,
+                threads,
                 ..Default::default()
             },
         ));
-        for threads in [2usize, 3, 8] {
-            let sharded = RefCell::new(engine(
-                &batch,
-                MqoConfig {
-                    rebase_threshold: threshold,
-                    threads,
-                    ..Default::default()
-                },
-            ));
-            seeded_sweep(
-                "sharded_vs_serial",
-                SWEEP_SEED + threads as u64 + (threshold as u64 % 101) * 8,
-                8,
-                |rng| {
-                    let sets = round_batch(rng, n);
-                    let a = serial.borrow_mut().bc_many(&sets);
-                    let b = sharded.borrow_mut().bc_many(&sets);
-                    assert_eq!(
-                        a, b,
-                        "threads {threads}, threshold {threshold}: sharded values \
-                         must be bit-identical to serial"
-                    );
-                },
-            );
-            // (Incremental-path coverage is asserted by the greedy replay
-            // below, whose candidates are exactly one element off base;
-            // these batches include arbitrary far sets, so at tight
-            // thresholds every candidate may legitimately go full.)
-        }
+        // The seed of the former threshold-4 case, so the same sets run.
+        seeded_sweep(
+            "sharded_vs_serial",
+            SWEEP_SEED + threads as u64 + 4 * 8,
+            8,
+            |rng| {
+                let sets = round_batch(rng, n);
+                let a = serial.borrow_mut().bc_many(&sets);
+                let b = sharded.borrow_mut().bc_many(&sets);
+                assert_eq!(
+                    a, b,
+                    "threads {threads}: sharded values must be bit-identical to serial"
+                );
+            },
+        );
+        // (Incremental-path coverage is asserted by the greedy replay
+        // below, whose candidates are exactly one element off base; these
+        // batches include arbitrary far sets, which go full.)
     }
 }
 
@@ -215,7 +210,8 @@ fn warm_vs_cold_replay(batch: &BatchDag, threads: usize, rounds: usize) -> (Vec<
     for round in 0..rounds.min(n) {
         if round % 3 == 2 {
             let far = BitSet::from_iter(n, (0..n).filter(|e| e % 2 == round % 2));
-            assert!(far.symmetric_difference_len(&base) > config.rebase_threshold);
+            // Past the engine's rebase threshold of 4 elements.
+            assert!(far.symmetric_difference_len(&base) > 4);
             warm.rebase(&far);
             warm.bc(&BitSet::from_iter(n, (0..n).filter(|e| e % 3 == 0)));
         }

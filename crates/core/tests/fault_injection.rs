@@ -6,9 +6,10 @@
 //! under the writer lock — and pins the containment contract:
 //!
 //! - a failed admission round is rolled back to its entry savepoint
-//!   (`Memo::check_consistency` green, `universe_epoch` unbumped, prior
-//!   tickets and the published snapshot intact) and fails only its own
-//!   submitters, each with the typed [`MqoError::RoundFailed`];
+//!   (`Memo::check_consistency` green, the shareable universe unchanged
+//!   slot for slot, prior tickets and the published snapshot intact) and
+//!   fails only its own submitters, each with the typed
+//!   [`MqoError::RoundFailed`];
 //! - a panic that poisons the writer lock itself does not wedge the
 //!   service (every lock site recovers from poison);
 //! - pre-admission validation rejects malformed plans at the door,
@@ -81,7 +82,8 @@ fn invalid_plans_are_rejected_at_the_door() {
 /// S3 at the batch layer: an injected panic in the admission window
 /// (after the memo savepoint, before `commit_evolution`) is recoverable —
 /// rolling back to a pre-admission savepoint leaves the memo consistent,
-/// the universe epoch unbumped, and the batch fully usable.
+/// the shareable universe unchanged slot for slot, and the batch fully
+/// usable.
 #[test]
 fn admission_panic_between_savepoint_and_commit_is_recoverable() {
     let w = mqo_tpcd::batched(3, 1.0);
@@ -89,7 +91,8 @@ fn admission_panic_between_savepoint_and_commit_is_recoverable() {
     let mut batch = build(w.ctx, &pool[..2]);
 
     let sp = batch.savepoint();
-    let epoch = batch.batch().universe_epoch();
+    let shareable = batch.batch().shareable().to_vec();
+    let slot_fingerprints = batch.batch().shareable_fingerprints();
     let fingerprints = batch.batch().universe_fingerprints();
     let tickets = batch.tickets();
     let reference = batch.run(Strategy::MarginalGreedy);
@@ -104,10 +107,11 @@ fn admission_panic_between_savepoint_and_commit_is_recoverable() {
         .expect("entry savepoint must be live");
     batch.batch().memo().check_consistency();
     assert_eq!(
-        batch.batch().universe_epoch(),
-        epoch,
-        "rolling back an uncommitted admission must not bump the epoch"
+        batch.batch().shareable(),
+        &shareable[..],
+        "rolling back an uncommitted admission must keep every universe slot"
     );
+    assert_eq!(batch.batch().shareable_fingerprints(), slot_fingerprints);
     assert_eq!(batch.batch().universe_fingerprints(), fingerprints);
     assert_eq!(batch.tickets(), tickets);
     let after = batch.run(Strategy::MarginalGreedy);

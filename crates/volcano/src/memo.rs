@@ -85,50 +85,6 @@ pub(crate) struct ChangeLog {
     rewritten: Vec<ExprId>,
 }
 
-/// A summary of every structural mutation between [`Memo::delta_begin`]
-/// and [`Memo::delta_take`]: the promotion of the expansion change log
-/// into a consumer-facing delta API. Batch-level bookkeeping (reference
-/// counts, the shareable universe) is recomputed *from* this delta after
-/// an evolution step instead of rescanning the memo.
-#[derive(Clone, Debug, Default)]
-pub struct MemoDelta {
-    /// Expression slots allocated when the window opened; every id in
-    /// `exprs_before..exprs_after` was interned inside the window.
-    pub exprs_before: usize,
-    /// Expression slots allocated when the window closed.
-    pub exprs_after: usize,
-    /// Group slots allocated when the window opened.
-    pub groups_before: usize,
-    /// Group slots allocated when the window closed.
-    pub groups_after: usize,
-    /// Group unions applied, as `(kept, dropped)` representatives at merge
-    /// time, in application order.
-    pub merges: Vec<(GroupId, GroupId)>,
-    /// Groups that gained member expressions (targeted inserts and merge
-    /// transfers).
-    pub grown: Vec<GroupId>,
-    /// Expressions tombstoned inside the window (merge duplicates,
-    /// self-references, retired batch roots). Ids below `exprs_before` were
-    /// live when the window opened.
-    pub tombstoned: Vec<ExprId>,
-}
-
-impl MemoDelta {
-    /// The expressions interned inside the window (some may have been
-    /// tombstoned again before the window closed).
-    pub fn new_exprs(&self) -> impl Iterator<Item = ExprId> + '_ {
-        (self.exprs_before as u32..self.exprs_after as u32).map(ExprId)
-    }
-
-    /// Whether the window saw no structural change at all.
-    pub fn is_empty(&self) -> bool {
-        self.exprs_before == self.exprs_after
-            && self.groups_before == self.groups_after
-            && self.merges.is_empty()
-            && self.tombstoned.is_empty()
-    }
-}
-
 /// The memo structure.
 #[derive(Debug)]
 pub struct Memo {
@@ -158,12 +114,10 @@ pub struct Memo {
     roots: Vec<GroupId>,
     /// Expansion change log (inactive outside `rules::expand`).
     log: ChangeLog,
-    /// Open delta window, if any (see [`Memo::delta_begin`]).
-    delta: Option<MemoDelta>,
     /// Monotone mutation counter: bumped on every new expression, union,
     /// tombstone, and reset. Never decreases — two distinct memo states
     /// observed by a consumer can never share a version, which is what
-    /// makes it safe as a compile-cache fingerprint component.
+    /// makes it safe as the stamp a compiled snapshot is checked against.
     version: u64,
     /// The group produced by [`Memo::build_batch_root`], if built.
     batch_root: Option<GroupId>,
@@ -191,15 +145,14 @@ impl Memo {
             producers: HashMap::new(),
             roots: Vec::new(),
             log: ChangeLog::default(),
-            delta: None,
             version: 0,
             batch_root: None,
             rehash_key: Vec::new(),
         }
     }
 
-    /// Monotone mutation counter (see the field docs); suitable as a delta
-    /// epoch in compile-cache fingerprints.
+    /// Monotone mutation counter (see the field docs): a held snapshot
+    /// whose stamp equals it was compiled from the current memo state.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -405,29 +358,7 @@ impl Memo {
         &self.log.rewritten
     }
 
-    /// Opens a delta window: subsequent inserts, merges, and tombstones are
-    /// summarized into a [`MemoDelta`] until [`Memo::delta_take`] closes it.
-    /// Windows do not nest.
-    pub fn delta_begin(&mut self) {
-        assert!(self.delta.is_none(), "delta window already open");
-        self.delta = Some(MemoDelta {
-            exprs_before: self.expr_op.len(),
-            exprs_after: self.expr_op.len(),
-            groups_before: self.groups.len(),
-            groups_after: self.groups.len(),
-            ..MemoDelta::default()
-        });
-    }
-
-    /// Closes the open delta window and returns its summary.
-    pub fn delta_take(&mut self) -> MemoDelta {
-        let mut d = self.delta.take().expect("no delta window open");
-        d.exprs_after = self.expr_op.len();
-        d.groups_after = self.groups.len();
-        d
-    }
-
-    /// Clears every arena, index, root, and delta window while keeping the
+    /// Clears every arena, index and root while keeping the
     /// context, returning the memo to its freshly-constructed state. The
     /// version counter keeps increasing across a reset.
     pub fn reset(&mut self) {
@@ -445,7 +376,6 @@ impl Memo {
         self.producers.clear();
         self.roots.clear();
         self.log = ChangeLog::default();
-        self.delta = None;
         self.batch_root = None;
         self.version += 1;
     }
@@ -542,9 +472,6 @@ impl Memo {
                     self.log.grown.push((t, members.len() as u32));
                 }
                 members.push(eid);
-                if let Some(d) = self.delta.as_mut() {
-                    d.grown.push(t);
-                }
                 t
             }
             None => {
@@ -624,10 +551,6 @@ impl Memo {
             );
             self.uf[drop.0 as usize] = keep.0;
             self.version += 1;
-            if let Some(d) = self.delta.as_mut() {
-                d.merges.push((keep, drop));
-                d.grown.push(keep);
-            }
             if self.log.active {
                 let len = self.groups[keep.0 as usize].exprs.len() as u32;
                 self.log.grown.push((keep, len));
@@ -654,9 +577,6 @@ impl Memo {
                     let (_, key_children) = key;
                     self.alive[e.0 as usize] = false;
                     self.version += 1;
-                    if let Some(d) = self.delta.as_mut() {
-                        d.tombstoned.push(e);
-                    }
                     self.rehash_key = key_children;
                 }
             }
@@ -693,9 +613,6 @@ impl Memo {
                 if key_children.contains(&self.group_of(e)) {
                     self.alive[e.0 as usize] = false;
                     self.version += 1;
-                    if let Some(d) = self.delta.as_mut() {
-                        d.tombstoned.push(e);
-                    }
                     self.rehash_key = key_children;
                     continue;
                 }
@@ -718,9 +635,6 @@ impl Memo {
                         // and merge the owning groups.
                         self.alive[e.0 as usize] = false;
                         self.version += 1;
-                        if let Some(d) = self.delta.as_mut() {
-                            d.tombstoned.push(e);
-                        }
                         let g1 = self.group_of(e);
                         let g2 = self.group_of(canonical);
                         if g1 != g2 {
@@ -793,9 +707,6 @@ impl Memo {
         self.index.remove(&key);
         self.alive[e.0 as usize] = false;
         self.version += 1;
-        if let Some(d) = self.delta.as_mut() {
-            d.tombstoned.push(e);
-        }
     }
 
     /// Children groups of a group: union over its live expressions,
@@ -1479,44 +1390,6 @@ mod tests {
         memo.add_query_root(r);
         memo.build_batch_root();
         memo.check_consistency();
-    }
-
-    #[test]
-    fn delta_window_summarizes_growth_merges_and_tombstones() {
-        let mut ctx = test_ctx();
-        let a = ctx.instance_by_name("a", 0);
-        let b = ctx.instance_by_name("b", 0);
-        let ja = ctx.col(a, "a_key");
-        let jb = ctx.col(b, "b_x");
-        let mut memo = Memo::new(ctx);
-        let ga = memo.insert(LogicalOp::Scan(a), vec![], None);
-        memo.delta_begin();
-        let gb = memo.insert(LogicalOp::Scan(b), vec![], None);
-        let j = memo.insert(LogicalOp::Join(Predicate::join(ja, jb)), vec![ga, gb], None);
-        let d = memo.delta_take();
-        assert_eq!(d.exprs_before, 1);
-        assert_eq!(d.exprs_after, 3);
-        assert_eq!(d.new_exprs().count(), 2);
-        assert!(d.merges.is_empty() && d.tombstoned.is_empty());
-        assert!(!d.is_empty());
-        let _ = j;
-
-        // A merge window: a full-range select over `a` is declared equal to
-        // its own child (same cardinality); the transferred expression
-        // becomes a self-reference and is tombstoned.
-        let ax = memo.ctx().col(a, "a_x");
-        memo.delta_begin();
-        let dup = memo.insert(
-            LogicalOp::Select(Predicate::on(ax, Constraint::range(Some(0), Some(9)))),
-            vec![ga],
-            None,
-        );
-        assert_ne!(memo.find(dup), memo.find(ga));
-        memo.merge(ga, dup);
-        let d = memo.delta_take();
-        assert_eq!(d.merges.len(), 1);
-        assert_eq!(d.merges[0].0, memo.find(ga));
-        assert_eq!(d.tombstoned.len(), 1);
     }
 
     #[test]
