@@ -1,8 +1,9 @@
 //! Benchmark behind Figures 4c and 5c: optimization time of stand-alone
 //! Volcano, Greedy, and MarginalGreedy per workload — plus the `extract`
 //! series measuring consolidated-plan extraction off the compiled engine
-//! arenas, and the `session_evolve` series measuring incremental
-//! admission against a rebuild.
+//! arenas, the `session_evolve` series measuring incremental
+//! admission against a rebuild, and the `compile` series measuring the
+//! `bestCost` engine compile a snapshot pays after every commit.
 //!
 //! The paper plots the opt-time figures in log scale to show Greedy and
 //! MarginalGreedy nearly coinciding; the `opt_time` series here measure
@@ -19,7 +20,7 @@
 use mqo_bench::timing::{measure, Record};
 use mqo_core::session::{OptimizedBatch, Session};
 use mqo_core::strategies::Strategy;
-use mqo_tpcd::Workload;
+use mqo_tpcd::{Shape, Workload, WorkloadSpec};
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::rules::RuleSet;
 
@@ -127,6 +128,24 @@ fn bench_session_evolve(rec: &mut Record, i: usize) {
     }
 }
 
+/// The `compile` series: `BatchDag::compile_state` — the engine compile
+/// behind every snapshot — on an already built batch. The batch's
+/// topological view is computed before the first sample, so the series
+/// times the compile alone.
+fn bench_compile(rec: &mut Record, workload: &str, w: Workload) {
+    let session = build(w);
+    let threads = session.config().threads;
+    let cm = DiskCostModel::paper();
+    let states = session.batch().compile_state(&cm).arenas().n_states();
+    let stats = rec.sample(|| measure(|| session.batch().compile_state(&cm)).1);
+    rec.push(
+        &[("mode", "compile"), ("workload", workload)],
+        &[("universe", session.universe_size()), ("states", states)],
+        threads,
+        stats,
+    );
+}
+
 fn main() {
     let mut rec = Record::new("opt_time");
     for i in [2usize, 4, 6] {
@@ -141,5 +160,20 @@ fn main() {
     for i in [3usize, 4, 5, 6] {
         bench_session_evolve(&mut rec, i);
     }
+    for i in [2usize, 4, 6] {
+        bench_compile(&mut rec, &format!("BQ{i}"), mqo_tpcd::batched(i, 1.0));
+    }
+    // A `batch-stream`-sized generated batch: 60 chain queries.
+    let chain = mqo_tpcd::generate(&WorkloadSpec {
+        shape: Shape::Chain,
+        tables: 48,
+        queries: 60,
+        span: (6, 9),
+        overlap: 0.3,
+        select_prob: 0.35,
+        base_rows: 500.0,
+        seed: 7,
+    });
+    bench_compile(&mut rec, "chain60", chain);
     rec.finish();
 }

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use mqo_volcano::cost::CostModel;
 use mqo_volcano::fphash::FpHasher;
@@ -36,7 +36,7 @@ use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
 use mqo_volcano::{DagContext, PlanNode};
 
 use crate::config::MqoConfig;
-use crate::engine::{CompileCache, EngineArenas, EngineState};
+use crate::engine::{EngineArenas, EngineState};
 use crate::error::MqoError;
 use crate::fault::{self, FaultSite};
 
@@ -56,8 +56,8 @@ struct QueryEntry {
     /// entries without invalidating outstanding tickets.
     ticket: u32,
     /// The submitted logical plan (kept for the rebuild on
-    /// retire/rollback).
-    plan: PlanNode,
+    /// retire/rollback), shared so a savepoint copies a pointer.
+    plan: Arc<PlanNode>,
     /// The query's root group in the current memo state.
     root: GroupId,
     /// Whether the query is still part of the batch.
@@ -111,9 +111,6 @@ pub struct BatchDag {
     /// evolution commits swap in a fresh cell, so engines holding the old
     /// `Arc` keep a consistent snapshot.
     topo: OnceLock<Arc<TopoView>>,
-    /// Compile scratch buffers shared by every
-    /// [`BatchDag::compile_state`] call on this batch.
-    engine_cache: Mutex<CompileCache>,
     /// Process-unique batch identity, stamped into every
     /// [`BatchSavepoint`] so [`BatchDag::try_rollback_with_threads`] can
     /// reject savepoints from a different batch as
@@ -154,7 +151,7 @@ impl BatchDag {
             .enumerate()
             .map(|(i, (q, &r))| QueryEntry {
                 ticket: i as u32,
-                plan: q.clone(),
+                plan: Arc::new(q.clone()),
                 root: r,
                 live: true,
             })
@@ -183,7 +180,6 @@ impl BatchDag {
             next_ticket: queries.len() as u32,
             expansion,
             topo: OnceLock::new(),
-            engine_cache: Mutex::new(CompileCache::default()),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -298,19 +294,6 @@ impl BatchDag {
         self.topo.get_or_init(|| Arc::new(self.memo.topo_view()))
     }
 
-    /// Locks the compile cache, recovering from poison by *resetting* it:
-    /// a panic mid-compile (the chaos suites inject them on purpose) may
-    /// have left torn scratch behind, and a fresh cache is always correct
-    /// — it is only a cache — while propagating the poison would wedge
-    /// every later compile of this batch.
-    fn lock_engine_cache(&self) -> MutexGuard<'_, CompileCache> {
-        self.engine_cache.lock().unwrap_or_else(|poison| {
-            let mut guard = poison.into_inner();
-            *guard = CompileCache::default();
-            guard
-        })
-    }
-
     /// Compiles an immutable [`EngineState`] snapshot of the current commit
     /// over [`BatchDag::topo_view`]: the shared engine arenas plus the
     /// universe and dense query roots, stamped with the memo version so
@@ -325,7 +308,6 @@ impl BatchDag {
             cm,
             self.root,
             &self.shareable,
-            &mut self.lock_engine_cache(),
         ));
         let query_roots = self.query_roots.iter().map(|&q| topo.dense(q)).collect();
         EngineState::assemble(
@@ -387,7 +369,7 @@ impl BatchDag {
         self.next_ticket += 1;
         self.entries.push(QueryEntry {
             ticket: ticket.0,
-            plan: plan.clone(),
+            plan: Arc::new(plan.clone()),
             root: self.memo.find(root),
             live: true,
         });
@@ -540,8 +522,9 @@ pub struct BatchSavepoint {
 
 impl BatchDag {
     /// Captures the current evolution state for a later
-    /// [`BatchDag::rollback`]. Cheap: clones the provenance entries and
-    /// universe slots, never the memo.
+    /// [`BatchDag::rollback`]. Cheap: copies the provenance entries, whose
+    /// plans are shared pointers, and the universe slots; never the memo
+    /// or a plan tree.
     pub fn savepoint(&self) -> BatchSavepoint {
         BatchSavepoint {
             batch_uid: self.uid,

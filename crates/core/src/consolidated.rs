@@ -6,7 +6,10 @@
 //! full bottom-up solve for the chosen set fills dense per-state
 //! `compute`/`use` arrays, a `DensePlanTable` records the winning option
 //! of every `(dense group, sort-order slot)` state in one linear pass, and
-//! the plan trees are read straight off the option/provenance arenas. No
+//! the plan trees are read straight off the option/provenance arenas. The
+//! compiled provenance is plain data (an expression id, an operator tag
+//! and interned order ids), turned into a [`PhysOp`] only for the nodes
+//! of an extracted plan. No
 //! `GroupId` is ever hashed on this path — the pre-`Session`
 //! implementation re-ran the reference `mqo_volcano::optimizer::Optimizer`
 //! with its `HashMap`-keyed `PlanTable` per materialization and per query
@@ -21,7 +24,7 @@ use mqo_volcano::plan::render_plan;
 
 use crate::batch::BatchDag;
 use crate::config::MqoConfig;
-use crate::engine::{BestCostEngine, OutOrder};
+use crate::engine::{BestCostEngine, EngineArenas, OpTag, OptPhys, OutOrder};
 
 /// The full consolidated evaluation plan for a batch.
 #[derive(Clone, Debug)]
@@ -183,8 +186,8 @@ impl<'a> DensePlanTable<'a> {
         let s = e.state_off[d] as usize + slot;
         if e.materialized(d, &self.set) && e.read[s] <= self.compute[s] {
             let g = e.topo.group_at(d);
-            let req = &e.state_order[s];
-            let natural = &e.natural_order[d];
+            let req = e.order(e.state_order[s]);
+            let natural = e.order(e.natural_order[d]);
             let order = if natural.satisfies(req) {
                 natural.clone()
             } else {
@@ -216,7 +219,7 @@ impl<'a> DensePlanTable<'a> {
         let w = self.winner[s];
         if w == ENFORCE {
             let inner = self.extract_compute(d, 0);
-            let order = e.state_order[s].clone();
+            let order = e.order(e.state_order[s]).clone();
             return PhysPlan {
                 op: PhysOp::Sort {
                     keys: order.0.clone(),
@@ -231,7 +234,7 @@ impl<'a> DensePlanTable<'a> {
             };
         }
         let o = w as usize;
-        let (expr, ref op) = e.opt_phys[o];
+        let phys = e.opt_phys[o];
         let mut children: Vec<PhysPlan> = e.opt_children
             [e.child_off[o] as usize..e.child_off[o + 1] as usize]
             .iter()
@@ -243,26 +246,44 @@ impl<'a> DensePlanTable<'a> {
             .collect();
         // Join options list the outer child first; plans list children in
         // memo (left, right) order like the reference extractor.
-        if matches!(
-            op,
-            PhysOp::MergeJoin { swapped: true, .. } | PhysOp::BlockNlJoin { swapped: true }
-        ) {
+        if phys.swapped {
             children.swap(0, 1);
         }
-        let order = match &e.opt_out[o] {
-            OutOrder::Fixed(order) => order.clone(),
-            OutOrder::InheritChild0 => e.state_order[s].clone(),
+        let order = match e.opt_out[o] {
+            OutOrder::Fixed(order) => order,
+            OutOrder::InheritChild0 => e.state_order[s],
         };
         PhysPlan {
-            op: op.clone(),
-            expr: Some(expr),
+            op: resolve_op(e, phys),
+            expr: Some(phys.expr),
             group: g,
             op_cost: e.opt_cost[o],
             total_cost: self.compute[s],
-            order,
+            order: e.order(order).clone(),
             rows,
             children,
         }
+    }
+}
+
+/// The physical operator a compiled option's provenance names, with its
+/// key orders resolved through the arenas' order table.
+pub(crate) fn resolve_op(arenas: &EngineArenas, phys: OptPhys) -> PhysOp {
+    let keys = |i: usize| arenas.order(phys.keys[i]).0.clone();
+    let swapped = phys.swapped;
+    match phys.op {
+        OpTag::TableScan(inst) => PhysOp::TableScan { inst },
+        OpTag::IndexScan(inst) => PhysOp::IndexScan { inst },
+        OpTag::Filter => PhysOp::Filter,
+        OpTag::MergeJoin => PhysOp::MergeJoin {
+            left_keys: keys(0),
+            right_keys: keys(1),
+            swapped,
+        },
+        OpTag::BlockNlJoin => PhysOp::BlockNlJoin { swapped },
+        OpTag::SortAgg => PhysOp::SortAgg { group_by: keys(0) },
+        OpTag::ScalarAgg => PhysOp::ScalarAgg,
+        OpTag::Root => PhysOp::Root,
     }
 }
 

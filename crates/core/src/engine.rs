@@ -29,6 +29,18 @@
 //! option o  → children (flat state indices) child_off[o] .. child_off[o+1]
 //! ```
 //!
+//! # Compilation
+//!
+//! The compile behind [`EngineArenas`] allocates per compile, never per
+//! option or state. Its orders pass interns every distinct [`SortOrder`]
+//! once, as a `u32` id into one order table, and computes each join's
+//! keys once; requirements, natural orders, output orders and provenance
+//! then hold ids. Each group's options are emitted into one reused
+//! buffer, bucketed by requirement, and appended to the final arenas in
+//! state order. Plan provenance stays plain data (an expression id, an
+//! operator tag, `swapped` and key-order ids) until plan extraction
+//! resolves the nodes of an extracted plan.
+//!
 //! `base_compute` / `base_use` (indexed by state) hold the DP solution of
 //! the committed base set. The incremental evaluator (the third
 //! optimization of Section 5.1, inherited from Roy et al.) recomputes only
@@ -68,14 +80,16 @@
 
 use std::borrow::Cow;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 use mqo_submod::bitset::BitSet;
+use mqo_volcano::context::{ColId, InstanceId};
 use mqo_volcano::cost::CostModel;
+use mqo_volcano::fphash::FpBuildHasher;
 use mqo_volcano::logical::LogicalOp;
 use mqo_volcano::memo::{ExprId, GroupId, Memo, TopoView};
-use mqo_volcano::physical::{PhysOp, SortOrder};
+use mqo_volcano::physical::SortOrder;
 
 pub use crate::config::MqoConfig;
 
@@ -309,38 +323,209 @@ impl ConeMemo {
     }
 }
 
-/// Output order of a compiled option: fixed, or inherited from the first
-/// child's natural order (order-preserving operators like Filter).
-#[derive(Clone, Debug)]
+/// Interned id of the unordered requirement: every compile interns it
+/// first, and it is slot 0 of every group's requirement list.
+pub(crate) const NO_ORDER: u32 = 0;
+
+/// Output order of a compiled option: a fixed order (an id into
+/// [`EngineArenas::orders`]), or inherited from the first child's natural
+/// order (order-preserving operators like Filter).
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum OutOrder {
-    Fixed(SortOrder),
+    Fixed(u32),
     InheritChild0,
 }
 
-/// The scratch buffers of the counted CSR build behind
-/// [`EngineArenas::compile`]. A batch keeps one across its compiles
-/// ([`crate::batch::BatchDag::compile_state`]), so a recompile allocates
-/// only the engine's own arenas.
-#[derive(Debug, Default)]
-pub(crate) struct CompileCache {
-    /// Per-state emitted-option counts (counted pass).
-    opt_cnt: Vec<u32>,
-    /// Emission-order option records: owning state, operator cost, output
-    /// order, and children (flat, with offsets).
-    tmp_state: Vec<u32>,
-    tmp_cost: Vec<f64>,
-    tmp_out: Vec<OutOrder>,
-    /// Emission-order plan provenance: the memo expression and physical
-    /// operator each option implements (consumed by plan extraction).
-    tmp_phys: Vec<(ExprId, PhysOp)>,
-    tmp_child: Vec<u32>,
-    tmp_child_off: Vec<u32>,
-    /// Emission index → final (state-sorted) option slot.
-    pos: Vec<u32>,
-    cursor: Vec<u32>,
-    child_cnt: Vec<u32>,
-    /// Flat state index → dense group index.
-    group_of_state: Vec<u32>,
+/// The physical operator kind of a compiled option.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum OpTag {
+    TableScan(InstanceId),
+    IndexScan(InstanceId),
+    Filter,
+    MergeJoin,
+    BlockNlJoin,
+    SortAgg,
+    ScalarAgg,
+    Root,
+}
+
+/// Plan provenance of one compiled option, as plain data: the memo
+/// expression it implements, its operator kind, whether a join's children
+/// are swapped, and the order ids a merge join sorts its outer and inner
+/// input on (`keys`) or a sort aggregate groups by (`keys[0]`). Plan
+/// extraction resolves it to a [`mqo_volcano::physical::PhysOp`] only for the nodes of an
+/// extracted plan.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct OptPhys {
+    pub(crate) expr: ExprId,
+    pub(crate) op: OpTag,
+    pub(crate) swapped: bool,
+    pub(crate) keys: [u32; 2],
+}
+
+impl OptPhys {
+    fn new(expr: ExprId, op: OpTag) -> Self {
+        OptPhys {
+            expr,
+            op,
+            swapped: false,
+            keys: [NO_ORDER; 2],
+        }
+    }
+}
+
+/// The distinct sort orders of one compile, each interned once; id `i` is
+/// `orders[i]`. A probe borrows the column list, so looking up an order
+/// already interned allocates nothing. The map is only probed, never
+/// iterated: ids follow the probe sequence, and nothing compiled depends
+/// on them beyond identity (requirement lists are sorted by value).
+struct OrderInterner {
+    ids: HashMap<Vec<ColId>, u32, FpBuildHasher>,
+    orders: Vec<SortOrder>,
+}
+
+impl OrderInterner {
+    fn new() -> Self {
+        let mut interner = OrderInterner {
+            ids: HashMap::default(),
+            orders: Vec::new(),
+        };
+        interner.intern(&[]);
+        interner
+    }
+
+    fn intern(&mut self, cols: &[ColId]) -> u32 {
+        if let Some(&id) = self.ids.get(cols) {
+            return id;
+        }
+        let id = self.orders.len() as u32;
+        self.ids.insert(cols.to_vec(), id);
+        self.orders.push(SortOrder::on(cols.to_vec()));
+        id
+    }
+}
+
+/// An expression with no interned key order (a join without spanning
+/// equi-keys, or an operator that sorts on nothing).
+const NO_KEYS: u32 = u32::MAX;
+
+/// End of a [`Demands`] list.
+const END: u32 = u32::MAX;
+
+/// The interesting-order ids of every dense group, as singly linked lists
+/// over two flat arenas, so collecting them allocates nothing per group.
+/// Each list starts with [`NO_ORDER`] and holds a handful of ids, so a
+/// membership test walks it.
+struct Demands {
+    head: Vec<u32>,
+    next: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl Demands {
+    fn new(n: usize) -> Self {
+        Demands {
+            head: (0..n as u32).collect(),
+            next: vec![END; n],
+            order: vec![NO_ORDER; n],
+        }
+    }
+
+    fn iter(&self, d: usize) -> impl Iterator<Item = u32> + '_ {
+        let mut k = self.head[d];
+        std::iter::from_fn(move || {
+            (k != END).then(|| {
+                let entry = self.order[k as usize];
+                k = self.next[k as usize];
+                entry
+            })
+        })
+    }
+
+    fn push(&mut self, d: usize, order: u32) {
+        if self.iter(d).any(|o| o == order) {
+            return;
+        }
+        self.next.push(self.head[d]);
+        self.head[d] = self.order.len() as u32;
+        self.order.push(order);
+    }
+
+    /// Adds every order of group `from` to group `to` (`from != to`).
+    fn copy(&mut self, from: usize, to: usize) {
+        let mut k = self.head[from];
+        while k != END {
+            self.push(to, self.order[k as usize]);
+            k = self.next[k as usize];
+        }
+    }
+}
+
+/// One option emitted for the group being compiled; its children are the
+/// range `children` of [`GroupOptions::children`].
+#[derive(Clone, Copy)]
+struct Emitted {
+    slot: u32,
+    cost: f64,
+    children: (u32, u32),
+    out: OutOrder,
+    phys: OptPhys,
+}
+
+/// The options of one group, in emission order (expression order, then
+/// each expression's own order), reused from group to group.
+#[derive(Default)]
+struct GroupOptions {
+    opts: Vec<Emitted>,
+    children: Vec<u32>,
+    /// Per requirement slot: the option count, then the end of the slot's
+    /// bucket in `by_slot`.
+    slot_end: Vec<u32>,
+    /// Option indices, stably bucketed by requirement slot.
+    by_slot: Vec<u32>,
+}
+
+impl GroupOptions {
+    fn emit(
+        &mut self,
+        slot: usize,
+        cost: f64,
+        children: impl IntoIterator<Item = u32>,
+        out: OutOrder,
+        phys: OptPhys,
+    ) {
+        let start = self.children.len() as u32;
+        self.children.extend(children);
+        self.opts.push(Emitted {
+            slot: slot as u32,
+            cost,
+            children: (start, self.children.len() as u32),
+            out,
+            phys,
+        });
+    }
+
+    /// Buckets the emitted options by requirement slot (`k` slots), keeping
+    /// emission order within a slot: a counting sort into `by_slot`, after
+    /// which `slot_end[j]` ends slot `j`'s bucket.
+    fn bucket(&mut self, k: usize) {
+        self.slot_end.clear();
+        self.slot_end.resize(k + 1, 0);
+        for o in &self.opts {
+            self.slot_end[o.slot as usize + 1] += 1;
+        }
+        for j in 0..k {
+            self.slot_end[j + 1] += self.slot_end[j];
+        }
+        self.by_slot.clear();
+        self.by_slot.resize(self.opts.len(), 0);
+        for (i, o) in self.opts.iter().enumerate() {
+            let cursor = &mut self.slot_end[o.slot as usize];
+            self.by_slot[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        self.slot_end.pop();
+    }
 }
 
 /// A candidate within this many universe elements of the committed base
@@ -398,17 +583,23 @@ pub struct EngineArenas {
     pub(crate) universe_dense: Vec<u32>,
     /// Dense index → universe element (u32::MAX when not in the universe).
     elem_of_dense: Vec<u32>,
-    /// Plan provenance per option (final slot order): the memo expression
-    /// and physical operator the option implements. Cold arenas — plan
-    /// extraction reads them, the `bc` hot path never does.
-    pub(crate) opt_phys: Vec<(ExprId, PhysOp)>,
-    /// Output order per option (final slot order), for extraction.
+    /// Plan provenance per option, as plain data ([`OptPhys`]): the memo
+    /// expression, operator kind and key orders the option implements.
+    /// Cold arenas — plan extraction resolves the nodes of an extracted
+    /// plan, the `bc` hot path never reads them.
+    pub(crate) opt_phys: Vec<OptPhys>,
+    /// Output order per option, for extraction.
     pub(crate) opt_out: Vec<OutOrder>,
-    /// The sort-order requirement of each DP state (flat, per state).
-    pub(crate) state_order: Vec<SortOrder>,
-    /// Natural storage order of each group's cheapest (`S = ∅`) production
-    /// plan — the order a materialized copy is written out in.
-    pub(crate) natural_order: Vec<SortOrder>,
+    /// The distinct sort orders of the compile; every other order field
+    /// holds an id into this table ([`Self::order`]), and id
+    /// [`NO_ORDER`] is the unordered requirement.
+    pub(crate) orders: Vec<SortOrder>,
+    /// The sort-order requirement (an order id) of each DP state.
+    pub(crate) state_order: Vec<u32>,
+    /// Natural storage order (an order id) of each group's cheapest
+    /// (`S = ∅`) production plan — the order a materialized copy is
+    /// written out in.
+    pub(crate) natural_order: Vec<u32>,
     /// Flat state index → dense group index.
     pub(crate) group_of_state: Vec<u32>,
     /// Per-universe-element standalone materialization cost under `S = ∅`:
@@ -486,14 +677,7 @@ impl BestCostEngine {
         universe: &[GroupId],
         config: MqoConfig,
     ) -> Self {
-        let arenas = EngineArenas::compile(
-            memo,
-            Arc::new(memo.topo_view()),
-            cm,
-            root,
-            universe,
-            &mut CompileCache::default(),
-        );
+        let arenas = EngineArenas::compile(memo, Arc::new(memo.topo_view()), cm, root, universe);
         Self::from_arenas(Arc::new(arenas), config)
     }
 
@@ -542,55 +726,54 @@ impl std::ops::Deref for BestCostEngine {
 impl EngineArenas {
     /// Compiles the immutable arenas for a memo, cost model, and shareable
     /// universe over `topo`, the caller's [`TopoView`] of `memo` as it
-    /// stands, recycling the temporary buffers of the counted CSR build
-    /// from `cache`.
+    /// stands.
+    ///
+    /// Allocation is per compile, never per option or state: sort orders
+    /// are interned once, each group's requirement list is a slice of one
+    /// flat id arena, and each group's options are emitted into one reused
+    /// buffer and appended to the final arenas in state order.
     pub(crate) fn compile(
         memo: &Memo,
         topo: Arc<TopoView>,
         cm: &dyn CostModel,
         root: GroupId,
         universe: &[GroupId],
-        cache: &mut CompileCache,
     ) -> EngineArenas {
         debug_assert_eq!(topo.len(), memo.n_groups(), "stale TopoView");
         let n = topo.len();
 
         // 1. Interesting orders per group: demanded by join/aggregate
-        // parents, propagated down through order-preserving selects (the
-        // fixpoint iterates a pre-collected select list, not the memo).
-        // Per-group lists stay deduplicated Vecs (2–4 entries each) and are
-        // sorted once at the end: the sorted order is canonical — it must
-        // not depend on memo expression enumeration order, or an evolved
-        // batch and a fresh rebuild of the same queries would break
-        // equal-cost ties between plans differently.
-        let mut orders: Vec<Vec<SortOrder>> = vec![vec![SortOrder::none()]; n];
-        let push_order = |orders: &mut Vec<Vec<SortOrder>>, d: usize, o: SortOrder| {
-            if !orders[d].contains(&o) {
-                orders[d].push(o);
-            }
-        };
-        let mut selects: Vec<(usize, usize)> = Vec::new();
+        // parents, propagated down through order-preserving selects. The
+        // same pass interns the order every later step reads off an
+        // expression: a join's left/right keys, an aggregate's group-by,
+        // a scan's clustered order.
+        let mut interner = OrderInterner::new();
+        let mut demands = Demands::new(n);
+        let mut expr_orders: Vec<[u32; 2]> = vec![[NO_KEYS; 2]; memo.exprs_allocated()];
+        let mut selects: Vec<(u32, u32)> = Vec::new();
+        let (mut lk, mut rk) = (Vec::new(), Vec::new());
         for e in memo.expr_ids() {
+            let keys = &mut expr_orders[e.0 as usize];
             match memo.op(e) {
+                LogicalOp::Scan(inst) => {
+                    keys[0] = interner.intern(&memo.ctx().clustered_order(*inst));
+                }
                 LogicalOp::Join(pred) => {
                     let ch = memo.children(e);
                     let (l, r) = (memo.find(ch[0]), memo.find(ch[1]));
-                    if let Some((lk, rk)) = join_keys(memo, pred, l, r) {
-                        push_order(&mut orders, topo.dense(l) as usize, SortOrder::on(lk));
-                        push_order(&mut orders, topo.dense(r) as usize, SortOrder::on(rk));
+                    if join_keys(memo, pred, l, r, &mut lk, &mut rk) {
+                        *keys = [interner.intern(&lk), interner.intern(&rk)];
+                        demands.push(topo.dense(l) as usize, keys[0]);
+                        demands.push(topo.dense(r) as usize, keys[1]);
                     }
                 }
                 LogicalOp::Aggregate(spec) if !spec.is_scalar() => {
-                    let c = memo.children(e)[0];
-                    push_order(
-                        &mut orders,
-                        topo.dense(c) as usize,
-                        SortOrder::on(spec.group_by.clone()),
-                    );
+                    keys[0] = interner.intern(&spec.group_by);
+                    demands.push(topo.dense(memo.children(e)[0]) as usize, keys[0]);
                 }
                 LogicalOp::Select(_) => {
-                    let g = topo.dense(memo.group_of(e)) as usize;
-                    let c = topo.dense(memo.children(e)[0]) as usize;
+                    let g = topo.dense(memo.group_of(e));
+                    let c = topo.dense(memo.children(e)[0]);
                     if g != c {
                         selects.push((g, c));
                     }
@@ -598,173 +781,99 @@ impl EngineArenas {
                 _ => {}
             }
         }
-        // Propagate demands down through selects until fixpoint.
-        loop {
-            let mut changed = false;
-            for &(g, c) in &selects {
-                for i in 0..orders[g].len() {
-                    let o = &orders[g][i];
-                    if !orders[c].contains(o) {
-                        let o = o.clone();
-                        orders[c].push(o);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                break;
-            }
+        // Children precede parents in the dense order, so visiting the
+        // selects by descending parent finds every parent's demands
+        // complete: one pass reaches the fixpoint.
+        selects.sort_unstable_by_key(|&(g, _)| Reverse(g));
+        for &(g, c) in &selects {
+            demands.copy(g as usize, c as usize);
         }
-        let orders: Vec<Vec<SortOrder>> = orders
-            .into_iter()
-            .map(|mut v| {
-                v.sort_unstable();
-                // Sorting puts the empty order first already, but be
-                // explicit: index 0 must be the unordered requirement.
-                if let Some(pos) = v.iter().position(SortOrder::is_none) {
-                    v.swap(0, pos);
-                }
-                v
-            })
-            .collect();
+        let orders = interner.orders;
 
-        // 2. State offsets: one counted pass over the per-group order
-        // lists, no per-state pushes downstream.
+        // 2. One state per (group, interesting order). Each group's list
+        // is sorted by the orders' values, never by id: the order must not
+        // depend on memo expression enumeration order, or an evolved batch
+        // and a fresh rebuild of the same queries would break equal-cost
+        // ties between plans differently. The empty order sorts first, so
+        // slot 0 is the unordered requirement.
+        let mut state_off: Vec<u32> = Vec::with_capacity(n + 1);
+        let mut state_order: Vec<u32> = Vec::with_capacity(demands.order.len());
+        let mut group_of_state: Vec<u32> = Vec::with_capacity(demands.order.len());
+        state_off.push(0);
+        for d in 0..n {
+            let s0 = state_order.len();
+            state_order.extend(demands.iter(d));
+            state_order[s0..]
+                .sort_unstable_by(|&a, &b| orders[a as usize].cmp(&orders[b as usize]));
+            debug_assert_eq!(state_order[s0], NO_ORDER);
+            group_of_state.resize(state_order.len(), d as u32);
+            state_off.push(state_order.len() as u32);
+        }
+        let n_states = state_order.len();
+        debug_assert!(
+            n_states < OPT_SPILL as usize,
+            "state count collides with packed-child sentinels"
+        );
         let blocks: Vec<f64> = topo
             .order()
             .iter()
             .map(|&g| memo.props(g).blocks(cm.block_size()))
             .collect();
-        let mut state_off: Vec<u32> = Vec::with_capacity(n + 1);
-        state_off.push(0);
-        for g_orders in &orders {
-            state_off.push(state_off.last().unwrap() + g_orders.len() as u32);
-        }
-        let n_states = *state_off.last().unwrap() as usize;
 
-        let CompileCache {
-            opt_cnt,
-            tmp_state,
-            tmp_cost,
-            tmp_out,
-            tmp_phys,
-            tmp_child,
-            tmp_child_off,
-            pos,
-            cursor,
-            child_cnt,
-            group_of_state,
-        } = cache;
-        group_of_state.clear();
-        group_of_state.resize(n_states, 0);
-        for gi in 0..n {
-            let (s0, s1) = (state_off[gi] as usize, state_off[gi + 1] as usize);
-            group_of_state[s0..s1].fill(gi as u32);
-        }
-
-        // 3. Emission pass: every expression's physical options are emitted
-        // once into flat reusable buffers (state, cost, out-order, child
-        // state indices), counting options per state as we go — no nested
-        // per-state vectors, no per-option allocations.
-        opt_cnt.clear();
-        opt_cnt.resize(n_states, 0);
-        tmp_state.clear();
-        tmp_cost.clear();
-        tmp_out.clear();
-        tmp_phys.clear();
-        tmp_child.clear();
-        tmp_child_off.clear();
-        tmp_child_off.push(0);
-        for (gi, &g) in topo.order().iter().enumerate() {
-            let s_base = state_off[gi] as usize;
-            for e in memo.group_exprs(g) {
-                let mut emit =
-                    |j: usize, cost: f64, children: &[(u32, u8)], out: OutOrder, phys: PhysOp| {
-                        let s = s_base + j;
-                        opt_cnt[s] += 1;
-                        tmp_state.push(s as u32);
-                        tmp_cost.push(cost);
-                        tmp_out.push(out);
-                        tmp_phys.push((e, phys));
-                        for &(cg, cj) in children {
-                            tmp_child.push(state_off[cg as usize] + cj as u32);
-                        }
-                        tmp_child_off.push(tmp_child.len() as u32);
-                    };
-                compile_expr(memo, cm, e, gi, &topo, &orders, &blocks, &mut emit);
-            }
-        }
-
-        // 4. Final CSR arenas by counting placement: `opt_off` from the
-        // per-state counts, a stable scatter of the emitted records into
-        // state order, then the children arena from the per-slot counts.
-        let n_opts = tmp_cost.len();
+        // 3. Emission, group by group: every expression's options go into
+        // one reused buffer, which is bucketed by requirement and appended
+        // to the final arenas in state order.
+        let cx = EmitCx {
+            memo,
+            cm,
+            topo: &topo,
+            orders: &orders,
+            state_off: &state_off,
+            state_order: &state_order,
+            blocks: &blocks,
+            expr_orders: &expr_orders,
+        };
+        // Sized for four options (eight children) per live expression,
+        // above the 3.7–3.9 every TPCD and generated batch measured; a
+        // batch that emits more grows the arenas as usual.
+        let n_opts = 4 * memo.n_exprs() + 1;
         let mut opt_off: Vec<u32> = Vec::with_capacity(n_states + 1);
         opt_off.push(0);
-        for s in 0..n_states {
-            opt_off.push(opt_off[s] + opt_cnt[s]);
-        }
-        cursor.clear();
-        cursor.extend_from_slice(&opt_off[..n_states]);
-        pos.clear();
-        pos.resize(n_opts, 0);
-        for k in 0..n_opts {
-            let s = tmp_state[k] as usize;
-            pos[k] = cursor[s];
-            cursor[s] += 1;
-        }
-        child_cnt.clear();
-        child_cnt.resize(n_opts, 0);
-        for k in 0..n_opts {
-            child_cnt[pos[k] as usize] = tmp_child_off[k + 1] - tmp_child_off[k];
-        }
+        let mut opt_cost: Vec<f64> = Vec::with_capacity(n_opts);
         let mut child_off: Vec<u32> = Vec::with_capacity(n_opts + 1);
         child_off.push(0);
-        for o in 0..n_opts {
-            child_off.push(child_off[o] + child_cnt[o]);
-        }
-        let mut opt_cost: Vec<f64> = vec![0.0; n_opts];
-        let mut opt_children: Vec<u32> = vec![0; *child_off.last().unwrap() as usize];
-        let mut opt_out: Vec<OutOrder> = vec![OutOrder::InheritChild0; n_opts];
-        let mut opt_phys: Vec<Option<(ExprId, PhysOp)>> = vec![None; n_opts];
-        for k in 0..n_opts {
-            let slot = pos[k] as usize;
-            opt_cost[slot] = tmp_cost[k];
-            let (cs, ce) = (tmp_child_off[k] as usize, tmp_child_off[k + 1] as usize);
-            let dst = child_off[slot] as usize;
-            opt_children[dst..dst + (ce - cs)].copy_from_slice(&tmp_child[cs..ce]);
-        }
-        // Out-order and provenance records own heap data (sort keys, scan
-        // names): scatter them by move so the engine arenas take ownership
-        // of the emitted records instead of cloning every option.
-        for (k, out) in tmp_out.drain(..).enumerate() {
-            opt_out[pos[k] as usize] = out;
-        }
-        for (k, p) in tmp_phys.drain(..).enumerate() {
-            opt_phys[pos[k] as usize] = Some(p);
-        }
-        let opt_phys: Vec<(ExprId, PhysOp)> = opt_phys
-            .into_iter()
-            .map(|p| p.expect("every option slot scattered"))
-            .collect();
-
-        debug_assert!(
-            n_states < OPT_SPILL as usize,
-            "state count collides with packed-child sentinels"
-        );
-        let mut opt_c0: Vec<u32> = vec![OPT_NONE; n_opts];
-        let mut opt_c1: Vec<u32> = vec![OPT_NONE; n_opts];
-        for o in 0..n_opts {
-            let (cs, ce) = (child_off[o] as usize, child_off[o + 1] as usize);
-            match ce - cs {
-                0 => {}
-                1 => opt_c0[o] = opt_children[cs],
-                2 => {
-                    opt_c0[o] = opt_children[cs];
-                    opt_c1[o] = opt_children[cs + 1];
-                }
-                _ => opt_c0[o] = OPT_SPILL,
+        let mut opt_children: Vec<u32> = Vec::with_capacity(2 * n_opts);
+        let mut opt_c0: Vec<u32> = Vec::with_capacity(n_opts);
+        let mut opt_c1: Vec<u32> = Vec::with_capacity(n_opts);
+        let mut opt_out: Vec<OutOrder> = Vec::with_capacity(n_opts);
+        let mut opt_phys: Vec<OptPhys> = Vec::with_capacity(n_opts);
+        let mut group = GroupOptions::default();
+        for (gi, &g) in topo.order().iter().enumerate() {
+            group.opts.clear();
+            group.children.clear();
+            for e in memo.group_exprs(g) {
+                cx.emit_expr(e, gi, &mut group);
             }
+            group.bucket((state_off[gi + 1] - state_off[gi]) as usize);
+            for &i in &group.by_slot {
+                let opt = group.opts[i as usize];
+                let children = &group.children[opt.children.0 as usize..opt.children.1 as usize];
+                let (c0, c1) = match *children {
+                    [] => (OPT_NONE, OPT_NONE),
+                    [c0] => (c0, OPT_NONE),
+                    [c0, c1] => (c0, c1),
+                    _ => (OPT_SPILL, OPT_NONE),
+                };
+                opt_cost.push(opt.cost);
+                opt_children.extend_from_slice(children);
+                child_off.push(opt_children.len() as u32);
+                opt_c0.push(c0);
+                opt_c1.push(c1);
+                opt_out.push(opt.out);
+                opt_phys.push(opt.phys);
+            }
+            let base = *opt_off.last().expect("opt_off starts at 0");
+            opt_off.extend(group.slot_end.iter().map(|&end| base + end));
         }
 
         let mut read: Vec<f64> = Vec::with_capacity(n_states);
@@ -775,7 +884,7 @@ impl EngineArenas {
             // known (see below); start with the plain read cost.
             read.extend(std::iter::repeat_n(
                 cm.materialize_read(blocks[gi]),
-                orders[gi].len(),
+                (state_off[gi + 1] - state_off[gi]) as usize,
             ));
             write.push(cm.materialize_write(blocks[gi]));
             sort.push(cm.sort(blocks[gi]));
@@ -795,7 +904,6 @@ impl EngineArenas {
             topo.parents(root as usize).is_empty() && elem_of_dense[root as usize] == u32::MAX,
             "the engine root must have no parents and not be shareable"
         );
-        let state_order: Vec<SortOrder> = orders.iter().flatten().cloned().collect();
         let rows: Vec<f64> = topo.order().iter().map(|&g| memo.props(g).rows).collect();
         let mut arenas = EngineArenas {
             topo,
@@ -814,9 +922,10 @@ impl EngineArenas {
             elem_of_dense,
             opt_phys,
             opt_out,
+            orders,
             state_order,
             natural_order: Vec::new(),
-            group_of_state: group_of_state.clone(),
+            group_of_state,
             mat_cost: Vec::new(),
             rows,
             empty_compute: Vec::new(),
@@ -832,12 +941,18 @@ impl EngineArenas {
         let mut use_ = Vec::new();
         arenas.full_solve_into(&BitSet::empty(universe.len()), &mut compute, &mut use_);
         let natural = arenas.resolve_natural_orders(&use_);
-        for (gi, nat) in natural.iter().enumerate() {
-            let s0 = arenas.state_off[gi] as usize;
-            for (j, req) in orders[gi].iter().enumerate() {
-                if !nat.satisfies(req) {
-                    arenas.read[s0 + j] += arenas.sort[gi];
-                }
+        let EngineArenas {
+            orders,
+            state_order,
+            group_of_state,
+            read,
+            sort,
+            ..
+        } = &mut arenas;
+        for (s, &d) in group_of_state.iter().enumerate() {
+            let d = d as usize;
+            if !orders[natural[d] as usize].satisfies(&orders[state_order[s] as usize]) {
+                read[s] += sort[d];
             }
         }
         arenas.natural_order = natural;
@@ -854,6 +969,11 @@ impl EngineArenas {
         arenas
     }
 
+    /// The sort order behind an interned order id.
+    pub(crate) fn order(&self, id: u32) -> &SortOrder {
+        &self.orders[id as usize]
+    }
+
     /// Standalone (`S = ∅`) materialization cost of each universe element:
     /// compute-from-scratch plus write. This is the additive cost vector
     /// the cost-based decomposition of the universe-reduction pre-pass
@@ -865,9 +985,9 @@ impl EngineArenas {
     /// Resolves the natural output order of each group's winning
     /// (unordered-requirement) production plan, bottom-up over the final
     /// flat arenas. `use_` must be the solved state for `S = ∅`.
-    fn resolve_natural_orders(&self, use_: &[f64]) -> Vec<SortOrder> {
+    fn resolve_natural_orders(&self, use_: &[f64]) -> Vec<u32> {
         let n = self.topo.len();
-        let mut natural: Vec<SortOrder> = Vec::with_capacity(n);
+        let mut natural: Vec<u32> = Vec::with_capacity(n);
         for d in 0..n {
             let s0 = self.state_off[d] as usize;
             let mut best: Option<(f64, usize)> = None;
@@ -884,16 +1004,16 @@ impl EngineArenas {
                 }
             }
             let order = match best {
-                Some((_, o)) => match &self.opt_out[o] {
-                    OutOrder::Fixed(order) => order.clone(),
+                Some((_, o)) => match self.opt_out[o] {
+                    OutOrder::Fixed(order) => order,
                     OutOrder::InheritChild0 => {
                         let child_state = self.opt_children[self.child_off[o] as usize] as usize;
                         let child = self.group_of_state[child_state] as usize;
                         debug_assert!(child < d, "children precede parents");
-                        natural[child].clone()
+                        natural[child]
                     }
                 },
-                None => SortOrder::none(),
+                None => NO_ORDER,
             };
             natural.push(order);
         }
@@ -1740,15 +1860,18 @@ impl EngineState {
 }
 
 /// Spanning merge-join keys (same logic as the volcano optimizer, inlined
-/// here for compilation).
+/// here for compilation), written into `lk`/`rk`; false when no
+/// equi-conjunct spans the two sides.
 fn join_keys(
     memo: &Memo,
     pred: &mqo_volcano::Predicate,
     l: GroupId,
     r: GroupId,
-) -> Option<(Vec<mqo_volcano::ColId>, Vec<mqo_volcano::ColId>)> {
-    let mut lk = Vec::new();
-    let mut rk = Vec::new();
+    lk: &mut Vec<ColId>,
+    rk: &mut Vec<ColId>,
+) -> bool {
+    lk.clear();
+    rk.clear();
     for &(a, b) in &pred.equi {
         if memo.group_covers(l, a) && memo.group_covers(r, b) {
             lk.push(a);
@@ -1758,199 +1881,168 @@ fn join_keys(
             rk.push(a);
         }
     }
-    if lk.is_empty() {
-        None
-    } else {
-        Some((lk, rk))
-    }
+    !lk.is_empty()
 }
 
-/// Compiles the physical options of one memo expression, emitting each as
-/// `(order index, operator cost, child (group, order) refs, output order,
-/// physical operator)` through `emit` — the caller owns the flat storage,
-/// so compilation performs no per-option allocation beyond the recorded
-/// operator provenance (cold data consumed only by plan extraction).
-#[allow(clippy::too_many_arguments)]
-fn compile_expr(
-    memo: &Memo,
-    cm: &dyn CostModel,
-    e: mqo_volcano::ExprId,
-    gi: usize,
-    topo: &TopoView,
-    orders: &[Vec<SortOrder>],
-    blocks: &[f64],
-    emit: &mut impl FnMut(usize, f64, &[(u32, u8)], OutOrder, PhysOp),
-) {
-    let g_orders = &orders[gi];
-    match memo.op(e) {
-        LogicalOp::Scan(inst) => {
-            let out = SortOrder::on(memo.ctx().clustered_order(*inst));
-            let op_cost = cm.table_scan(blocks[gi]);
-            for (j, req) in g_orders.iter().enumerate() {
-                if out.satisfies(req) {
-                    emit(
-                        j,
-                        op_cost,
-                        &[],
-                        OutOrder::Fixed(out.clone()),
-                        PhysOp::TableScan { inst: *inst },
-                    );
-                }
-            }
-        }
-        LogicalOp::Select(pred) => {
-            let c = memo.find(memo.children(e)[0]);
-            let ci = topo.dense(c) as usize;
-            // Filter: child takes the same requirement.
-            let filter_cost = cm.filter(blocks[ci]);
-            for (j, req) in g_orders.iter().enumerate() {
-                let jc = orders[ci]
-                    .iter()
-                    .position(|o| o == req)
-                    .expect("demand propagated to select child");
-                emit(
-                    j,
-                    filter_cost,
-                    &[(ci as u32, jc as u8)],
-                    OutOrder::InheritChild0,
-                    PhysOp::Filter,
-                );
-            }
-            // Clustered-index scan.
-            for ce in memo.group_exprs(c) {
-                let &LogicalOp::Scan(inst) = memo.op(ce) else {
-                    continue;
-                };
-                let pk_order = memo.ctx().clustered_order(inst);
-                let Some(&lead) = pk_order.first() else {
-                    continue;
-                };
-                let Some(constraint) = pred.constraints.get(&lead) else {
-                    continue;
-                };
-                let frac = constraint.selectivity(&memo.ctx().col_stats(lead));
-                let matched = (blocks[ci] * frac).ceil().max(1.0);
-                let op_cost = cm.index_scan(matched) + cm.filter(matched);
-                let out = SortOrder::on(pk_order);
-                for (j, req) in g_orders.iter().enumerate() {
-                    if out.satisfies(req) {
-                        emit(
-                            j,
-                            op_cost,
-                            &[],
-                            OutOrder::Fixed(out.clone()),
-                            PhysOp::IndexScan { inst },
-                        );
+/// What option emission reads: the memo, the cost model, the dense maps,
+/// the interned orders with every group's requirement list, and the
+/// per-expression key orders of the orders pass.
+struct EmitCx<'a> {
+    memo: &'a Memo,
+    cm: &'a dyn CostModel,
+    topo: &'a TopoView,
+    orders: &'a [SortOrder],
+    state_off: &'a [u32],
+    state_order: &'a [u32],
+    blocks: &'a [f64],
+    expr_orders: &'a [[u32; 2]],
+}
+
+impl EmitCx<'_> {
+    /// The requirement ids of dense group `d`, in slot order.
+    fn reqs(&self, d: usize) -> &[u32] {
+        &self.state_order[self.state_off[d] as usize..self.state_off[d + 1] as usize]
+    }
+
+    /// Whether a stream in order `out` satisfies requirement `req`.
+    fn satisfies(&self, out: u32, req: u32) -> bool {
+        self.orders[out as usize].satisfies(&self.orders[req as usize])
+    }
+
+    /// The flat state of dense group `d` whose requirement is `order`.
+    fn state(&self, d: usize, order: u32, what: &str) -> u32 {
+        let slot = self.reqs(d).iter().position(|&o| o == order);
+        self.state_off[d] + slot.unwrap_or_else(|| panic!("{what}")) as u32
+    }
+
+    /// Emits the physical options of memo expression `e` of dense group
+    /// `gi` into `out`: per option its requirement slot, operator cost,
+    /// child states, output order and provenance.
+    fn emit_expr(&self, e: ExprId, gi: usize, out: &mut GroupOptions) {
+        let (memo, cm, blocks) = (self.memo, self.cm, self.blocks);
+        let reqs = self.reqs(gi);
+        match memo.op(e) {
+            LogicalOp::Scan(inst) => {
+                let order = self.expr_orders[e.0 as usize][0];
+                let op_cost = cm.table_scan(blocks[gi]);
+                for (j, &req) in reqs.iter().enumerate() {
+                    if self.satisfies(order, req) {
+                        let phys = OptPhys::new(e, OpTag::TableScan(*inst));
+                        out.emit(j, op_cost, [], OutOrder::Fixed(order), phys);
                     }
                 }
             }
-        }
-        LogicalOp::Join(pred) => {
-            let ch = memo.children(e);
-            let l = memo.find(ch[0]);
-            let r = memo.find(ch[1]);
-            let (li, ri) = (topo.dense(l) as usize, topo.dense(r) as usize);
-            let keys = join_keys(memo, pred, l, r);
-            for swapped in [false, true] {
-                let (oi, ii) = if swapped { (ri, li) } else { (li, ri) };
-                // Block nested loops (unordered output): order index 0 only.
-                let nl_cost = cm.nl_join(blocks[oi], blocks[ii], blocks[gi]);
-                emit(
-                    0,
-                    nl_cost,
-                    &[(oi as u32, 0), (ii as u32, 0)],
-                    OutOrder::Fixed(SortOrder::none()),
-                    PhysOp::BlockNlJoin { swapped },
-                );
-                // Merge join. The key lists are borrowed until an option is
-                // actually emitted — the position probes compare against
-                // the raw column lists so the common no-emission path
-                // allocates nothing.
-                if let Some((lk, rk)) = &keys {
-                    let (ok, ik) = if swapped { (rk, lk) } else { (lk, rk) };
-                    let jo = orders[oi]
-                        .iter()
-                        .position(|o| o.0 == *ok)
-                        .expect("join key order registered for outer child");
-                    let ji = orders[ii]
-                        .iter()
-                        .position(|o| o.0 == *ik)
-                        .expect("join key order registered for inner child");
-                    let op_cost = cm.merge_join(blocks[oi], blocks[ii], blocks[gi]);
-                    for (j, req) in g_orders.iter().enumerate() {
-                        // `satisfies` on the raw key list: req is a prefix.
-                        if req.0.len() <= ok.len() && ok[..req.0.len()] == req.0[..] {
-                            emit(
-                                j,
-                                op_cost,
-                                &[(oi as u32, jo as u8), (ii as u32, ji as u8)],
-                                OutOrder::Fixed(SortOrder::on(ok.clone())),
-                                PhysOp::MergeJoin {
-                                    left_keys: ok.clone(),
-                                    right_keys: ik.clone(),
-                                    swapped,
-                                },
-                            );
+            LogicalOp::Select(pred) => {
+                let c = memo.find(memo.children(e)[0]);
+                let ci = self.topo.dense(c) as usize;
+                // Filter: child takes the same requirement.
+                let filter_cost = cm.filter(blocks[ci]);
+                for (j, &req) in reqs.iter().enumerate() {
+                    let child = self.state(ci, req, "demand propagated to select child");
+                    let phys = OptPhys::new(e, OpTag::Filter);
+                    out.emit(j, filter_cost, [child], OutOrder::InheritChild0, phys);
+                }
+                // Clustered-index scan.
+                for ce in memo.group_exprs(c) {
+                    let &LogicalOp::Scan(inst) = memo.op(ce) else {
+                        continue;
+                    };
+                    let order = self.expr_orders[ce.0 as usize][0];
+                    let Some(&lead) = self.orders[order as usize].0.first() else {
+                        continue;
+                    };
+                    let Some(constraint) = pred.constraints.get(&lead) else {
+                        continue;
+                    };
+                    let frac = constraint.selectivity(&memo.ctx().col_stats(lead));
+                    let matched = (blocks[ci] * frac).ceil().max(1.0);
+                    let op_cost = cm.index_scan(matched) + cm.filter(matched);
+                    for (j, &req) in reqs.iter().enumerate() {
+                        if self.satisfies(order, req) {
+                            let phys = OptPhys::new(e, OpTag::IndexScan(inst));
+                            out.emit(j, op_cost, [], OutOrder::Fixed(order), phys);
                         }
                     }
                 }
             }
-        }
-        LogicalOp::Aggregate(spec) => {
-            let c = memo.find(memo.children(e)[0]);
-            let ci = topo.dense(c) as usize;
-            if spec.is_scalar() {
-                let op_cost = cm.scalar_agg(blocks[ci]);
-                // One row satisfies every ordering requirement, so the
-                // output order is recorded as the requirement itself (the
-                // extraction path mirrors the reference optimizer here).
-                for (j, req) in g_orders.iter().enumerate() {
-                    emit(
-                        j,
-                        op_cost,
-                        &[(ci as u32, 0)],
-                        OutOrder::Fixed(req.clone()),
-                        PhysOp::ScalarAgg,
-                    );
-                }
-            } else {
-                let gb = SortOrder::on(spec.group_by.clone());
-                let jc = orders[ci]
-                    .iter()
-                    .position(|o| *o == gb)
-                    .expect("group-by order registered for aggregate child");
-                let op_cost = cm.sort_agg(blocks[ci], blocks[gi]);
-                for (j, req) in g_orders.iter().enumerate() {
-                    if gb.satisfies(req) {
-                        emit(
-                            j,
-                            op_cost,
-                            &[(ci as u32, jc as u8)],
-                            OutOrder::Fixed(gb.clone()),
-                            PhysOp::SortAgg {
-                                group_by: spec.group_by.clone(),
-                            },
-                        );
+            LogicalOp::Join(_) => {
+                let ch = memo.children(e);
+                let l = self.topo.dense(memo.find(ch[0])) as usize;
+                let r = self.topo.dense(memo.find(ch[1])) as usize;
+                let [lk, rk] = self.expr_orders[e.0 as usize];
+                for swapped in [false, true] {
+                    let (oi, ii) = if swapped { (r, l) } else { (l, r) };
+                    // Block nested loops (unordered output): order index 0 only.
+                    let nl_cost = cm.nl_join(blocks[oi], blocks[ii], blocks[gi]);
+                    let children = [self.state_off[oi], self.state_off[ii]];
+                    let phys = OptPhys {
+                        swapped,
+                        ..OptPhys::new(e, OpTag::BlockNlJoin)
+                    };
+                    out.emit(0, nl_cost, children, OutOrder::Fixed(NO_ORDER), phys);
+                    // Merge join on the keys the orders pass interned.
+                    if lk != NO_KEYS {
+                        let (ok, ik) = if swapped { (rk, lk) } else { (lk, rk) };
+                        let children = [
+                            self.state(oi, ok, "join key order registered for outer child"),
+                            self.state(ii, ik, "join key order registered for inner child"),
+                        ];
+                        let op_cost = cm.merge_join(blocks[oi], blocks[ii], blocks[gi]);
+                        for (j, &req) in reqs.iter().enumerate() {
+                            if self.satisfies(ok, req) {
+                                let phys = OptPhys {
+                                    swapped,
+                                    keys: [ok, ik],
+                                    ..OptPhys::new(e, OpTag::MergeJoin)
+                                };
+                                out.emit(j, op_cost, children, OutOrder::Fixed(ok), phys);
+                            }
+                        }
                     }
                 }
             }
-        }
-        LogicalOp::Root => {
-            let children: Vec<(u32, u8)> = memo
-                .children(e)
-                .iter()
-                .map(|&c| (topo.dense(c), 0u8))
-                .collect();
-            emit(
-                0,
-                0.0,
-                &children,
-                OutOrder::Fixed(SortOrder::none()),
-                PhysOp::Root,
-            );
+            LogicalOp::Aggregate(spec) => {
+                let c = memo.find(memo.children(e)[0]);
+                let ci = self.topo.dense(c) as usize;
+                if spec.is_scalar() {
+                    let op_cost = cm.scalar_agg(blocks[ci]);
+                    // One row satisfies every ordering requirement, so the
+                    // output order is recorded as the requirement itself (the
+                    // extraction path mirrors the reference optimizer here).
+                    for (j, &req) in reqs.iter().enumerate() {
+                        let phys = OptPhys::new(e, OpTag::ScalarAgg);
+                        let child = self.state_off[ci];
+                        out.emit(j, op_cost, [child], OutOrder::Fixed(req), phys);
+                    }
+                } else {
+                    let gb = self.expr_orders[e.0 as usize][0];
+                    let child = self.state(ci, gb, "group-by order registered for aggregate child");
+                    let op_cost = cm.sort_agg(blocks[ci], blocks[gi]);
+                    for (j, &req) in reqs.iter().enumerate() {
+                        if self.satisfies(gb, req) {
+                            let phys = OptPhys {
+                                keys: [gb, NO_ORDER],
+                                ..OptPhys::new(e, OpTag::SortAgg)
+                            };
+                            out.emit(j, op_cost, [child], OutOrder::Fixed(gb), phys);
+                        }
+                    }
+                }
+            }
+            LogicalOp::Root => {
+                let children = memo
+                    .children(e)
+                    .iter()
+                    .map(|&c| self.state_off[self.topo.dense(c) as usize]);
+                let phys = OptPhys::new(e, OpTag::Root);
+                out.emit(0, 0.0, children, OutOrder::Fixed(NO_ORDER), phys);
+            }
         }
     }
 }
+
+#[cfg(test)]
+mod compile_pin;
 
 #[cfg(test)]
 mod tests {

@@ -62,6 +62,13 @@ check_bench_baselines() {
         echo "ERROR: BENCH_opt_time.json is missing the session_evolve series" >&2
         exit 1
     fi
+    # ...and the compile series (the engine compile every snapshot pays,
+    # on BQ2/BQ4/BQ6 and a 60-query generated chain), which backs the
+    # compile figures in README.md and ROADMAP.md.
+    if [[ -e BENCH_opt_time.json ]] && ! grep -q '"mode": "compile"' BENCH_opt_time.json; then
+        echo "ERROR: BENCH_opt_time.json is missing the compile series" >&2
+        exit 1
+    fi
 }
 
 bench_smoke() {

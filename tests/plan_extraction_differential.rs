@@ -12,7 +12,8 @@
 
 use mqo_core::config::MqoConfig;
 use mqo_core::session::{OptimizedBatch, Session};
-use mqo_core::strategies::Strategy;
+use mqo_core::strategies::{RunReport, Strategy};
+use mqo_tpcd::{Shape, WorkloadSpec};
 use mqo_volcano::cost::{CostModel, DiskCostModel};
 use mqo_volcano::memo::GroupId;
 use mqo_volcano::optimizer::{MatOverlay, Optimizer, PlanTable};
@@ -137,8 +138,31 @@ fn all_cases(threads: usize) -> Vec<(Strategy, MqoConfig)> {
     cases
 }
 
-fn check_workload(i: usize) {
+/// Asserts that `report`'s arena-extracted consolidated plan equals the
+/// reference `PlanTable` extraction of the same materialized set.
+fn assert_extraction_matches(session: &OptimizedBatch, report: &RunReport, case: &str) {
     let cm = DiskCostModel::paper();
+    let (ref_mats, ref_queries, ref_total) =
+        reference_extract(session.batch(), &cm, &report.materialized);
+
+    assert!(
+        close(report.plan.total_cost, ref_total),
+        "{case}: arena total {} vs reference {}",
+        report.plan.total_cost,
+        ref_total
+    );
+    assert_eq!(report.plan.materializations.len(), ref_mats.len());
+    for ((ag, ap), (rg, rp)) in report.plan.materializations.iter().zip(&ref_mats) {
+        assert_eq!(ag, rg, "{case}: materialization order");
+        assert_plans_equal(ap, rp, &format!("{case}/mat{}", ag.0));
+    }
+    assert_eq!(report.plan.query_plans.len(), ref_queries.len());
+    for (qi, (ap, rp)) in report.plan.query_plans.iter().zip(&ref_queries).enumerate() {
+        assert_plans_equal(ap, rp, &format!("{case}/q{qi}"));
+    }
+}
+
+fn check_workload(i: usize) {
     let session = build(i);
     for threads in [1usize, 4] {
         for (strategy, config) in all_cases(threads) {
@@ -147,24 +171,7 @@ fn check_workload(i: usize) {
                 Some(k) => format!("BQ{i}/{}[k={k}]@{threads}", report.strategy),
                 None => format!("BQ{i}/{}@{threads}", report.strategy),
             };
-            let (ref_mats, ref_queries, ref_total) =
-                reference_extract(session.batch(), &cm, &report.materialized);
-
-            assert!(
-                close(report.plan.total_cost, ref_total),
-                "{case}: arena total {} vs reference {}",
-                report.plan.total_cost,
-                ref_total
-            );
-            assert_eq!(report.plan.materializations.len(), ref_mats.len());
-            for ((ag, ap), (rg, rp)) in report.plan.materializations.iter().zip(&ref_mats) {
-                assert_eq!(ag, rg, "{case}: materialization order");
-                assert_plans_equal(ap, rp, &format!("{case}/mat{}", ag.0));
-            }
-            assert_eq!(report.plan.query_plans.len(), ref_queries.len());
-            for (qi, (ap, rp)) in report.plan.query_plans.iter().zip(&ref_queries).enumerate() {
-                assert_plans_equal(ap, rp, &format!("{case}/q{qi}"));
-            }
+            assert_extraction_matches(&session, &report, &case);
         }
     }
 }
@@ -177,4 +184,48 @@ fn arena_extractor_matches_plantable_path_on_bq3() {
 #[test]
 fn arena_extractor_matches_plantable_path_on_bq4() {
     check_workload(4);
+}
+
+/// A generated chain batch evolving: 24 base queries over 48 tables, then
+/// eight admissions and two retires (one base query, one arrival). After
+/// the build and after every write, MarginalGreedy's extracted plan must
+/// equal the reference extraction over the evolved memo, at threads 1
+/// and 4.
+#[test]
+fn arena_extractor_matches_plantable_path_across_evolution() {
+    for threads in [1usize, 4] {
+        let w = mqo_tpcd::generate(&WorkloadSpec {
+            shape: Shape::Chain,
+            tables: 48,
+            queries: 24 + 8,
+            span: (6, 9),
+            overlap: 0.3,
+            select_prob: 0.35,
+            base_rows: 500.0,
+            seed: 7,
+        });
+        let (base, arrivals) = w.queries.split_at(24);
+        let mut session = Session::builder()
+            .context(w.ctx)
+            .queries(base.iter().cloned())
+            .rules(RuleSet::default())
+            .cost_model(DiskCostModel::paper())
+            .threads(threads)
+            .build();
+        let first = session.tickets()[0];
+        let check = |session: &OptimizedBatch, step: &str| {
+            let report = session.run(Strategy::MarginalGreedy);
+            assert_extraction_matches(session, &report, &format!("chain/{step}@{threads}"));
+        };
+        check(&session, "base");
+        let mut admitted = Vec::new();
+        for (i, q) in arrivals.iter().enumerate() {
+            admitted.push(session.add_query(q.clone()));
+            check(&session, &format!("add{i}"));
+        }
+        session.retire_query(first);
+        check(&session, "retire-base");
+        session.retire_query(admitted[0]);
+        check(&session, "retire-arrival");
+    }
 }
