@@ -7,8 +7,9 @@
 //! * `batched` — `bc_many`, evaluating a whole greedy round's candidates
 //!   against one shared base,
 //! * `sharded` — `bc_many` with `MqoConfig::threads` ∈ {1, 2, 4, 8}:
-//!   the same batched schedule fanned out over scoped worker threads,
-//!   each with its own `EngineScratch` over the shared arenas
+//!   the same batched schedule through the shared fan-out, chunk 0 on the
+//!   calling thread and the rest on scoped worker threads, each with its
+//!   own `EngineScratch` from the handle's pool over the shared arenas
 //!   (bit-identical values; only the wall-clock changes).
 //!
 //! The evaluation schedule replays what the greedy strategies actually do:

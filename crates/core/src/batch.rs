@@ -157,10 +157,11 @@ impl BatchDag {
             })
             .collect();
         let shareable = find_shareable(&memo, root);
+        let topo = Arc::new(memo.topo_view());
         // Initial universe: one live slot per shareable group, ascending.
         let universe = shareable
             .iter()
-            .zip(group_fingerprints(&memo, &shareable))
+            .zip(group_fingerprints(&memo, topo.order(), &shareable))
             .map(|(&g, fingerprint)| UniverseSlot {
                 fingerprint,
                 group: g,
@@ -179,7 +180,7 @@ impl BatchDag {
             elem_of_group,
             next_ticket: queries.len() as u32,
             expansion,
-            topo: OnceLock::new(),
+            topo: OnceLock::from(topo),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -224,7 +225,7 @@ impl BatchDag {
     /// its surviving queries agree here even though their group ids and
     /// slot orders differ). Differential-harness hook.
     pub fn universe_fingerprints(&self) -> Vec<u64> {
-        let mut fps = group_fingerprints(&self.memo, &self.shareable);
+        let mut fps = self.shareable_fingerprints();
         fps.sort_unstable();
         fps
     }
@@ -324,7 +325,7 @@ impl BatchDag {
     /// per-element state (the serving layer's materialization cache)
     /// across evolution commits.
     pub fn shareable_fingerprints(&self) -> Vec<u64> {
-        group_fingerprints(&self.memo, &self.shareable)
+        group_fingerprints(&self.memo, self.topo_arc().order(), &self.shareable)
     }
 
     /// Size of the evolution history: provenance entries, live plus
@@ -456,8 +457,11 @@ impl BatchDag {
         self.query_roots = self.memo.roots();
         self.expansion.exprs = self.memo.n_exprs();
         self.expansion.groups = self.memo.n_groups();
+        // Swap the topo cell: engines holding the old Arc keep a frozen
+        // consistent snapshot; new compiles see the evolved memo.
+        self.topo = OnceLock::new();
         let new_shareable = find_shareable(&self.memo, self.root);
-        let fps = group_fingerprints(&self.memo, &new_shareable);
+        let fps = group_fingerprints(&self.memo, self.topo_arc().order(), &new_shareable);
 
         // Match new shareable groups to existing slots by fingerprint
         // (reviving tombstoned slots on an add-after-rollback replay);
@@ -499,9 +503,6 @@ impl BatchDag {
             .map(|s| s.group)
             .collect();
         self.elem_of_group = build_elem_of_group(&self.memo, &self.shareable);
-        // Swap the topo cell: engines holding the old Arc keep a frozen
-        // consistent snapshot; new compiles see the evolved memo.
-        self.topo = OnceLock::new();
     }
 }
 
@@ -634,10 +635,11 @@ fn find_shareable(memo: &Memo, root: GroupId) -> Vec<GroupId> {
 /// renumbering — two memo states interning the same logical DAG (an
 /// evolved batch and a fresh rebuild of the same queries) assign equal
 /// fingerprints — which is what keys universe slots across evolutions.
-fn group_fingerprints(memo: &Memo, groups: &[GroupId]) -> Vec<u64> {
+/// `order` is the memo's topological order ([`TopoView::order`]).
+fn group_fingerprints(memo: &Memo, order: &[GroupId], groups: &[GroupId]) -> Vec<u64> {
     let mut fp = vec![0u64; memo.n_group_slots()];
     let mut expr_fps: Vec<u64> = Vec::new();
-    for g in memo.topo_order() {
+    for &g in order {
         expr_fps.clear();
         expr_fps.extend(memo.group_exprs(g).map(|e| {
             let mut h = FpHasher::default();

@@ -146,16 +146,9 @@ impl<'a> DensePlanTable<'a> {
                 let mut best = f64::INFINITY;
                 let mut w = ENFORCE;
                 for o in engine.opt_off[s] as usize..engine.opt_off[s + 1] as usize {
-                    // Children first, operator cost last — the exact
-                    // association of the solve's `best_option`, so the
-                    // recovered winner agrees with `compute` bit for bit.
-                    let mut cost = 0.0;
-                    for &c in &engine.opt_children
-                        [engine.child_off[o] as usize..engine.child_off[o + 1] as usize]
-                    {
-                        cost += use_[c as usize];
-                    }
-                    cost += engine.opt_cost[o];
+                    // The solve's own option recurrence, so the recovered
+                    // winner agrees with `compute` bit for bit.
+                    let cost = engine.option_cost(o, &|c| use_[c]);
                     if cost < best {
                         best = cost;
                         w = o as u32;

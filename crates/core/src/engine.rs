@@ -49,7 +49,9 @@
 //! value is live iff its stamp equals the current evaluation epoch, so the
 //! overlay is discarded by bumping one counter — the incremental path
 //! performs no allocation at steady state (every buffer is reused across
-//! calls).
+//! calls). That one dirty-cone recurrence serves both sides of the oracle:
+//! it answers a candidate, and a near-base commit is the target's own
+//! overlay written back into the base arenas.
 //!
 //! [`BestCostEngine::bc_many`] additionally evaluates a whole batch of
 //! candidate sets (a greedy round) against one shared base: it rebases to
@@ -61,14 +63,18 @@
 //! All of the mutable per-evaluation state (overlay arenas, epoch stamps,
 //! dirty-cone worklist, diff buffer) lives in an [`EngineScratch`], while
 //! the compiled arenas and the committed base are immutable during a batch.
-//! With [`MqoConfig::threads`] > 1 (or the `MQO_THREADS` environment
-//! variable), [`BestCostEngine::bc_many`] rebases once to the round's
-//! shared intersection and then fans the candidates out over
-//! `std::thread::scope` workers, each with its own scratch over `&self`'s
-//! shared arenas. Every candidate is evaluated from the same committed
-//! base (no cross-candidate base drift in sharded mode), and an overlay
-//! answer is a pure function of `(base, set)`, so sharded results are
-//! **bit-identical** to the serial path at every thread count.
+//! A handle keeps one pool of scratches; index 0 is the caller's, used by
+//! [`BestCostEngine::bc`] and [`BestCostEngine::rebase`].
+//! [`BestCostEngine::bc_many`] rebases once to the round's shared
+//! intersection and then fans the candidates out through the workspace's
+//! one chunked fan-out ([`mqo_volcano::rules::fan_out`]) with one pool
+//! scratch per worker ([`MqoConfig::threads`], or the `MQO_THREADS`
+//! environment variable): chunk 0 runs on the calling thread with the
+//! caller's scratch, the other chunks on `std::thread::scope` workers, and
+//! one worker runs the whole batch inline. Every candidate is evaluated
+//! from the same committed base (no cross-candidate base drift), and an
+//! overlay answer is a pure function of `(base, set)`, so results are
+//! **bit-identical** at every thread count.
 //!
 //! An answer is *not* independent of the base, though. The overlay's
 //! per-state values are bit-exact with respect to the full solve, but its
@@ -90,6 +96,7 @@ use mqo_volcano::fphash::FpBuildHasher;
 use mqo_volcano::logical::LogicalOp;
 use mqo_volcano::memo::{ExprId, GroupId, Memo, TopoView};
 use mqo_volcano::physical::SortOrder;
+use mqo_volcano::rules::fan_out;
 
 pub use crate::config::MqoConfig;
 
@@ -127,8 +134,8 @@ impl EpochInt for u8 {
 /// The mutable per-evaluation state of a [`BestCostEngine`]: the overlay
 /// arenas, their epoch stamps, the dirty-cone worklist, and the diff
 /// buffer. Everything else in the engine is immutable during a batch, so
-/// sharded [`BestCostEngine::bc_many`] hands each worker thread its own
-/// `EngineScratch` over the shared arenas.
+/// [`BestCostEngine::bc_many`] hands each worker of its fan-out its own
+/// `EngineScratch` from the handle's pool over the shared arenas.
 #[derive(Clone, Debug, Default)]
 pub struct EngineScratch<E: EpochInt = u64> {
     /// Overlay `compute` values (live iff the state's stamp is current).
@@ -148,9 +155,10 @@ pub struct EngineScratch<E: EpochInt = u64> {
     /// The non-root groups the last cone pass popped, in pop order.
     cone_buf: Vec<u32>,
     /// Cone records of this scratch's single-element misses in the
-    /// current batch, merged into the handle's [`ConeMemo`] in slot order
-    /// once the batch is done. Each record's groups and root-child uses
-    /// follow the previous record's in the two flat arenas below.
+    /// current batch, merged into the handle's [`ConeMemo`] in pool order
+    /// (which is slot order) once the batch is done. Each record's groups
+    /// and root-child uses follow the previous record's in the two flat
+    /// arenas below.
     records: Vec<ConeRecord>,
     rec_cone: Vec<u32>,
     rec_roots: Vec<(u32, f64)>,
@@ -207,7 +215,7 @@ impl<E: EpochInt> EngineScratch<E> {
     }
 }
 
-/// One cone recorded by a worker scratch during a batch (see
+/// One cone recorded by a pool scratch during a batch (see
 /// [`EngineScratch::records`]).
 #[derive(Clone, Copy, Debug)]
 struct ConeRecord {
@@ -241,9 +249,10 @@ struct ConeEntry {
 ///
 /// An overlay's cone pass reads only the base values of its own groups,
 /// their base membership, and the base `use` of their children. An
-/// incremental commit ([`BestCostEngine::commit_diff`]) stamps every group
-/// it pops with a new generation, and a child whose `use` changed always
-/// queues — and so stamps — its parents. So while no cone group carries a
+/// incremental commit — the target's own overlay written back into the
+/// base (see `BestCostEngine::rebase_with`) — stamps every group it pops
+/// with a new generation, and a child whose `use` changed always queues —
+/// and so stamps — its parents. So while no cone group carries a
 /// stamp newer than the entry, every value the cone read is unchanged,
 /// the cone's heap order is unchanged, and replaying only the root pass
 /// reproduces the fresh overlay bit for bit. A full-solve rebase moves the
@@ -641,16 +650,14 @@ pub struct BestCostEngine {
     /// per-element sum is `O(|S|)` with cache-hostile indirection, and at
     /// hundreds of materializations it dominates the cone DP itself).
     base_total: f64,
-    /// Epoch-stamped overlay scratch (reused across serial evaluations; a
-    /// state's scratch value is live iff its stamp equals the current
-    /// epoch).
-    scratch: EngineScratch,
-    /// Pooled per-worker scratches for sharded batches, reused across
-    /// rounds (grown on demand, counters folded into `scratch` and reset
-    /// after each round). Stale overlay stamps are harmless across rounds:
-    /// each scratch's epoch only grows (the wrap path clears the stamps),
-    /// so a stale stamp never equals a later evaluation's epoch.
-    worker_scratches: Vec<EngineScratch>,
+    /// The scratch pool: one epoch-stamped overlay scratch per worker of
+    /// [`Self::bc_many`]'s fan-out, grown on demand and reused across
+    /// rounds. Index 0 is the caller's: [`Self::bc`] and [`Self::rebase`]
+    /// use it, and it runs chunk 0 of every batch. A state's scratch value
+    /// is live iff its stamp equals its scratch's current epoch, and each
+    /// epoch only grows (the wrap path clears the stamps), so a stale stamp
+    /// never equals a later evaluation's epoch.
+    scratches: Vec<EngineScratch>,
     /// Pooled buffer for the per-round shared-intersection base of
     /// [`Self::bc_many`], reused across rounds instead of cloning the
     /// first candidate every round.
@@ -697,8 +704,7 @@ impl BestCostEngine {
             base_compute: arenas.empty_compute.clone(),
             base_use: arenas.empty_use.clone(),
             base_total: arenas.empty_total,
-            scratch: EngineScratch::new(n_states, n_groups),
-            worker_scratches: Vec::new(),
+            scratches: vec![EngineScratch::new(n_states, n_groups)],
             shared_buf: BitSet::empty(u),
             cones: ConeMemo::new(),
             config,
@@ -1053,9 +1059,8 @@ impl EngineArenas {
         self.in_set(d, set)
     }
 
-    /// A fresh, zeroed scratch sized for this engine's arenas. The engine
-    /// owns one for serial evaluation; sharded [`Self::bc_many`] creates
-    /// one per worker thread.
+    /// A fresh, zeroed scratch sized for this engine's arenas. A handle's
+    /// pool holds one per worker of [`BestCostEngine::bc_many`].
     fn new_scratch<E: EpochInt>(&self) -> EngineScratch<E> {
         EngineScratch::new(self.n_states(), self.topo.len())
     }
@@ -1176,10 +1181,10 @@ impl EngineArenas {
 
     /// Cost of one option given resolved child `use` costs — the exact
     /// inner summation of [`Self::best_option`] (children left-to-right,
-    /// operator cost last), shared with the dirty-option fast path so a
-    /// selectively recomputed option is bit-identical to a full rescan's.
+    /// operator cost last), shared with plan extraction's winner recovery
+    /// so the recovered winner agrees with the solve bit for bit.
     #[inline]
-    fn option_cost(&self, o: usize, child_use: &impl Fn(usize) -> f64) -> f64 {
+    pub(crate) fn option_cost(&self, o: usize, child_use: &impl Fn(usize) -> f64) -> f64 {
         let c0 = self.opt_c0[o];
         let mut cost = 0.0;
         if c0 == OPT_SPILL {
@@ -1205,10 +1210,11 @@ impl BestCostEngine {
     /// per-round commit of a greedy run — is committed incrementally and
     /// counts as neither. `incremental` counts every answer served off the
     /// committed base: the base itself, overlays, and cone-memo reuses
-    /// ([`Self::cone_reuses`]). Sharded batches fold each worker's counts
-    /// back into these totals.
+    /// ([`Self::cone_reuses`]). Both are summed over the scratch pool.
     pub fn eval_counts(&self) -> (u64, u64) {
-        (self.scratch.full_evals, self.scratch.incremental_evals)
+        self.scratches.iter().fold((0, 0), |(full, inc), s| {
+            (full + s.full_evals, inc + s.incremental_evals)
+        })
     }
 
     /// `bc(set)`, answered from the committed base (see the module docs:
@@ -1221,9 +1227,9 @@ impl BestCostEngine {
         // MQO_THREADS setting (worker shards never see the armed TLS).
         crate::fault::hit(crate::fault::FaultSite::OracleEval);
         let set = self.sanitize(set);
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratches[0]);
         let v = self.bc_one(&mut scratch, set.as_ref());
-        self.scratch = scratch;
+        self.scratches[0] = scratch;
         v
     }
 
@@ -1254,13 +1260,18 @@ impl BestCostEngine {
     }
 
     /// One evaluation against the committed base **without mutating it** —
-    /// the sharded path, where the base is shared immutably across worker
-    /// threads. A candidate past the rebase threshold is answered by a
-    /// full (uncommitted) solve into the worker's scratch: same value as
-    /// the serial threshold-rebase, different bookkeeping. A candidate one
-    /// element off the base goes through the cone memo
-    /// ([`Self::cone_eval`]).
+    /// the per-candidate function of [`Self::bc_many`], where the base is
+    /// shared immutably across the fan-out's workers. The `force_full`
+    /// ablation full-solves every candidate. Otherwise a candidate past
+    /// the rebase threshold is answered by a full (uncommitted) solve into
+    /// the worker's scratch: same value as [`Self::bc`]'s threshold-rebase,
+    /// different bookkeeping. A candidate one element off the base goes
+    /// through the cone memo ([`Self::cone_eval`]).
     fn bc_from_base<E: EpochInt>(&self, scratch: &mut EngineScratch<E>, set: &BitSet) -> f64 {
+        if self.config.force_full {
+            scratch.full_evals += 1;
+            return self.full_eval_with(scratch, set);
+        }
         let dist = set.symmetric_difference_len_capped(&self.base_set, REBASE_THRESHOLD);
         if dist == 0 {
             scratch.incremental_evals += 1;
@@ -1281,22 +1292,23 @@ impl BestCostEngine {
 
     /// Evaluates `bc` on every set of a batch — a greedy round's candidates
     /// — against one shared base: the committed base is aligned with the
-    /// intersection of the batch once (one full solve), then every
-    /// candidate takes the normal incremental path. For round-shaped
-    /// batches (`X ∪ {x}` per candidate) every diff is a single element, so
-    /// each answer is a minimal overlay.
+    /// intersection of the batch once, then every candidate takes the
+    /// same per-candidate path (`bc_from_base`). For round-shaped batches
+    /// (`X ∪ {x}` per candidate) every diff is a single element, so each
+    /// answer is a minimal overlay. Under the `force_full` ablation the
+    /// intersection rebase is skipped and every candidate is full-solved.
     ///
-    /// With [`MqoConfig::threads`] > 1 the candidates are sharded over
-    /// `std::thread::scope` workers, each with its own [`EngineScratch`]
-    /// over the shared immutable arenas; every candidate is evaluated from
-    /// the same committed base. The serial mode runs the identical
-    /// per-candidate code against the engine's own scratch (a candidate
-    /// past the rebase threshold full-solves into the scratch without
-    /// committing, so the base never drifts mid-batch), which is what
-    /// makes every thread count return **bit-identical** values — only
-    /// the work distribution differs. (The single-set [`Self::bc`] entry
-    /// point still commits a rebase on far sets and drifts with its
-    /// caller's query sequence.)
+    /// The candidates go through [`fan_out`]: with [`MqoConfig::threads`]
+    /// workers, contiguous chunks run on the handle's scratch pool, chunk 0
+    /// on the calling thread with the caller's scratch, over the shared
+    /// immutable arenas and the same committed base. A candidate past the
+    /// rebase threshold full-solves into its worker's scratch without
+    /// committing, so the base never drifts mid-batch; one worker runs the
+    /// whole batch inline. Every thread count therefore runs identical
+    /// per-candidate code from the identical base and returns
+    /// **bit-identical** values — only the work distribution differs.
+    /// (The single-set [`Self::bc`] entry point still commits a rebase on
+    /// far sets and drifts with its caller's query sequence.)
     ///
     /// **Round-to-round cone reuse.** A candidate one element `e` off the
     /// base is answered from the handle's cone memo when the last
@@ -1304,136 +1316,94 @@ impl BestCostEngine {
     /// pass is replayed, bit-identical to a fresh overlay (see
     /// [`Self::cone_reuses`]). Every candidate is classified against the
     /// memo as it stood when the batch began, and the batch's fresh cones
-    /// are recorded after it in slot order, so memo state, values and
-    /// reuse counts are identical at every thread count. Since the base
-    /// is the batch intersection, a one-element diff is always an
-    /// addition; removal-shaped sets (`X∖{e}`) never reach the memo.
+    /// are absorbed after it in pool order, which is slot order, so memo
+    /// state, values and reuse counts are identical at every thread count.
+    /// Since the base is the batch intersection, a one-element diff is
+    /// always an addition; removal-shaped sets (`X∖{e}`) never reach the
+    /// memo.
     pub fn bc_many(&mut self, sets: &[BitSet]) -> Vec<f64> {
         // See `bc`: injected oracle faults fire here on the caller thread.
         crate::fault::hit(crate::fault::FaultSite::OracleEval);
-        if sets.is_empty() {
-            return Vec::new();
-        }
         let sets: Vec<Cow<BitSet>> = sets.iter().map(|s| self.sanitize(s)).collect();
-        if self.config.force_full {
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let out = sets
-                .iter()
-                .map(|s| {
-                    scratch.full_evals += 1;
-                    self.full_eval_with(&mut scratch, s)
-                })
-                .collect();
-            self.scratch = scratch;
-            return out;
+        if let (false, Some((first, rest))) = (self.config.force_full, sets.split_first()) {
+            // For candidates X ∪ {x} of a greedy round over base X, the
+            // intersection is exactly X. The pooled buffer makes the whole
+            // round allocation-free at steady state.
+            let mut shared = std::mem::replace(&mut self.shared_buf, BitSet::empty(0));
+            shared.copy_from(first);
+            for s in rest {
+                shared.intersect_with(s);
+            }
+            if shared != self.base_set {
+                self.rebase(&shared);
+            }
+            self.shared_buf = shared;
         }
-        // For candidates X ∪ {x} of a greedy round over base X, the
-        // intersection is exactly X. The pooled buffer makes the whole
-        // round allocation-free at steady state.
-        let mut shared = std::mem::replace(&mut self.shared_buf, BitSet::empty(0));
-        shared.copy_from(&sets[0]);
-        for s in &sets[1..] {
-            shared.intersect_with(s);
-        }
-        if shared != self.base_set {
-            self.rebase(&shared);
-        }
-        self.shared_buf = shared;
         let workers = self.config.effective_threads(sets.len());
-        if workers <= 1 {
-            // Same drift-free path as the sharded workers (a far candidate
-            // full-solves into the scratch instead of committing a rebase):
-            // serial and sharded runs execute identical per-candidate code
-            // from the identical committed base, so bit-identity across
-            // thread counts holds by construction — including the
-            // floating-point grouping of the overlay path's delta totals.
-            let mut scratch = std::mem::take(&mut self.scratch);
-            let out = sets
-                .iter()
-                .map(|s| self.bc_from_base(&mut scratch, s))
-                .collect();
-            self.absorb_cones(&mut scratch);
-            self.scratch = scratch;
-            return out;
+        let mut pool = std::mem::take(&mut self.scratches);
+        while pool.len() < workers {
+            pool.push(self.new_scratch());
         }
-        self.bc_many_sharded(&sets, workers)
-    }
-
-    /// Moves a scratch's recorded cones into the handle's memo.
-    fn absorb_cones(&mut self, scratch: &mut EngineScratch) {
+        let mut out = vec![0.0f64; sets.len()];
+        let engine: &BestCostEngine = self;
+        fan_out(
+            &sets,
+            &mut out,
+            &mut pool[..workers],
+            |scratch, set, slot| {
+                *slot = engine.bc_from_base(scratch, set);
+            },
+        );
         let (n_groups, u) = (self.topo.len(), self.universe_size());
-        self.cones.absorb(scratch, n_groups, u);
+        for scratch in &mut pool[..workers] {
+            self.cones.absorb(scratch, n_groups, u);
+        }
+        self.scratches = pool;
+        out
     }
 
     /// Single-element candidates of [`Self::bc_many`] answered from the
-    /// cone memo instead of a fresh overlay (folded from worker scratches
-    /// like [`Self::eval_counts`]). Every reuse is also counted as an
+    /// cone memo instead of a fresh overlay, summed over the scratch pool
+    /// like [`Self::eval_counts`]. Every reuse is also counted as an
     /// incremental evaluation.
     pub fn cone_reuses(&self) -> u64 {
-        self.scratch.cone_reuses
-    }
-
-    /// The sharded fan-out of [`Self::bc_many`]: contiguous candidate
-    /// chunks, one scoped worker thread per chunk, one fresh scratch each,
-    /// all reading the same committed base. Results land in their original
-    /// slots, so the output order — like the values — is independent of
-    /// the thread count.
-    fn bc_many_sharded(&mut self, sets: &[Cow<BitSet>], workers: usize) -> Vec<f64> {
-        let chunk = sets.len().div_ceil(workers);
-        let mut out = vec![0.0f64; sets.len()];
-        // Grow the pooled worker scratches on demand and reuse them across
-        // rounds — the sharded path allocates nothing at steady state,
-        // matching the serial overlay path.
-        while self.worker_scratches.len() < workers {
-            self.worker_scratches.push(self.new_scratch());
-        }
-        let mut scratches = std::mem::take(&mut self.worker_scratches);
-        let shared: &BestCostEngine = self;
-        std::thread::scope(|scope| {
-            for ((chunk_sets, chunk_out), scratch) in sets
-                .chunks(chunk)
-                .zip(out.chunks_mut(chunk))
-                .zip(scratches.iter_mut())
-            {
-                scope.spawn(move || {
-                    for (s, slot) in chunk_sets.iter().zip(chunk_out.iter_mut()) {
-                        *slot = shared.bc_from_base(scratch, s);
-                    }
-                });
-            }
-        });
-        // Workers ran contiguous chunks, so absorbing their records in
-        // worker order is slot order.
-        for ws in &mut scratches {
-            self.scratch.full_evals += ws.full_evals;
-            self.scratch.incremental_evals += ws.incremental_evals;
-            self.scratch.cone_reuses += ws.cone_reuses;
-            ws.full_evals = 0;
-            ws.incremental_evals = 0;
-            ws.cone_reuses = 0;
-            self.absorb_cones(ws);
-        }
-        self.worker_scratches = scratches;
-        out
+        self.scratches.iter().map(|s| s.cone_reuses).sum()
     }
 
     /// Commits `set` as the new base state.
     pub fn rebase(&mut self, set: &BitSet) {
         let set = self.sanitize(set);
-        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut scratch = std::mem::take(&mut self.scratches[0]);
         self.rebase_with(&mut scratch, set.as_ref());
-        self.scratch = scratch;
+        self.scratches[0] = scratch;
     }
 
     /// [`Self::rebase`] against a caller-held scratch (whose stamps it
     /// invalidates: the overlays were relative to the dead base).
     ///
     /// A target within [`REBASE_THRESHOLD`] elements of the current base is
-    /// committed *incrementally* ([`Self::commit_diff`]): the greedy's
-    /// every-round commit moves the base by exactly one element (the new
-    /// pick), and a full bottom-up solve per round is the dominant fixed
-    /// cost of large-universe selection. Past the threshold — or while the
-    /// base arenas are not yet solved — the full solve runs as before.
+    /// committed *incrementally*, as its own overlay written back: the
+    /// greedy's every-round commit moves the base by exactly one element
+    /// (the new pick), and a full bottom-up solve per round is the dominant
+    /// fixed cost of large-universe selection. The commit
+    ///
+    /// 1. runs the overlay's cone pass, and its root pass if the cone
+    ///    reached the root, into the scratch;
+    /// 2. copies the stamped states of every popped group (the cone and
+    ///    the root) into the base arenas, stamping each group with a new
+    ///    cone-memo generation, which retires the memo entries whose cones
+    ///    it touched;
+    /// 3. re-sums the base total with the same flat sum as a full solve
+    ///    (not `base_total + Δ`, whose rounding differs);
+    /// 4. invalidates the scratch.
+    ///
+    /// This is bit-identical to the full solve it replaces: a state outside
+    /// the cone has no changed input (children's `use` and its own
+    /// materialization flag are unchanged), so a full solve would
+    /// recompute exactly the value it already holds; a state inside the
+    /// cone applies the identical accumulation order over identical child
+    /// values. Past the threshold — or while the base arenas are not yet
+    /// solved — the full solve runs, moving the base without stamping.
     fn rebase_with(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
         if self.base_compute.len() == self.n_states() {
             let dist = set.symmetric_difference_len_capped(&self.base_set, REBASE_THRESHOLD);
@@ -1443,7 +1413,27 @@ impl BestCostEngine {
             }
             if dist <= REBASE_THRESHOLD {
                 self.load_diff(scratch, set);
-                self.commit_diff(scratch, set);
+                let epoch = scratch.advance_epoch();
+                let (_, reached_root) = self.cone_pass(scratch, set, epoch);
+                if reached_root {
+                    self.root_pass(scratch, epoch);
+                }
+                self.cones.gen += 1;
+                let root = reached_root.then_some(self.root);
+                for &d in scratch.cone_buf.iter().chain(&root) {
+                    let du = d as usize;
+                    // Empty until the memo records its first cone.
+                    if let Some(g) = self.cones.group_gen.get_mut(du) {
+                        *g = self.cones.gen;
+                    }
+                    let states = self.state_off[du] as usize..self.state_off[du + 1] as usize;
+                    self.base_compute[states.clone()]
+                        .copy_from_slice(&scratch.compute[states.clone()]);
+                    self.base_use[states.clone()].copy_from_slice(&scratch.use_[states]);
+                }
+                self.base_set.copy_from(set);
+                self.base_total = self.total_from_slice(set, &self.base_compute);
+                scratch.invalidate();
                 return;
             }
         }
@@ -1456,86 +1446,6 @@ impl BestCostEngine {
         self.base_set = set.clone();
         self.base_total = self.total_from_slice(set, &self.base_compute);
         self.cones.invalidate_all();
-        scratch.invalidate();
-    }
-
-    /// Commits a near-base target by running the overlay recurrence
-    /// *through* the base arenas: only the dirty cone above the changed
-    /// elements (the scratch's diff buffer) is recomputed, in dense
-    /// topological order off the same min-heap worklist the overlay path
-    /// uses. Bit-identical to the full solve it replaces: a state outside
-    /// the cone has no changed input (children's `use` and its own
-    /// materialization flag are unchanged), so a full solve would
-    /// recompute exactly the value it already holds; a state inside the
-    /// cone applies the identical accumulation order over identical child
-    /// values.
-    ///
-    /// Every popped group is stamped with a new cone-memo generation,
-    /// which retires the memo entries whose cones it touched.
-    fn commit_diff(&mut self, scratch: &mut EngineScratch, set: &BitSet) {
-        let epoch = scratch.advance_epoch();
-        self.cones.gen += 1;
-        let gen = self.cones.gen;
-        let mut group_gen = std::mem::take(&mut self.cones.group_gen);
-        let mut compute = std::mem::take(&mut self.base_compute);
-        let mut use_ = std::mem::take(&mut self.base_use);
-        let EngineScratch {
-            dirty,
-            queued_epoch,
-            diff_buf,
-            ..
-        } = scratch;
-        for &e in diff_buf.iter() {
-            let d = self.universe_dense[e];
-            if queued_epoch[d as usize] != epoch {
-                queued_epoch[d as usize] = epoch;
-                dirty.push(Reverse(d));
-            }
-        }
-        while let Some(Reverse(d)) = dirty.pop() {
-            let du = d as usize;
-            // Empty until the memo records its first cone.
-            if let Some(g) = group_gen.get_mut(du) {
-                *g = gen;
-            }
-            let s0 = self.state_off[du] as usize;
-            let s1 = self.state_off[du + 1] as usize;
-            let materialized = self.in_set(du, set);
-            let mut changed = false;
-            for s in s0..s1 {
-                // Children live in strictly earlier groups: if dirty, the
-                // heap already popped and committed them.
-                let best = self.best_option(s, |c| use_[c]);
-                let best = if s > s0 {
-                    best.min(compute[s0] + self.sort[du])
-                } else {
-                    best
-                };
-                compute[s] = best;
-                let u = if materialized {
-                    self.read[s].min(best)
-                } else {
-                    best
-                };
-                if u != use_[s] {
-                    changed = true;
-                }
-                use_[s] = u;
-            }
-            if changed {
-                for &p in self.topo.parents(du) {
-                    if queued_epoch[p as usize] != epoch {
-                        queued_epoch[p as usize] = epoch;
-                        dirty.push(Reverse(p));
-                    }
-                }
-            }
-        }
-        self.cones.group_gen = group_gen;
-        self.base_compute = compute;
-        self.base_use = use_;
-        self.base_set.copy_from(set);
-        self.base_total = self.total_from_slice(set, &self.base_compute);
         scratch.invalidate();
     }
 
@@ -1563,8 +1473,8 @@ impl BestCostEngine {
     /// function of `(base, set)` — identical across thread counts and
     /// shard boundaries — though its floating-point grouping differs from
     /// a from-scratch full solve's flat sum by design (the differential
-    /// suites pin overlay ≡ full to 1e-9 relative, and serial ≡ sharded
-    /// bitwise).
+    /// suites pin overlay ≡ full to 1e-9 relative, and every thread count
+    /// to every other bitwise).
     ///
     /// The walk is split into a cone pass over every popped group but the
     /// batch root, then a root pass, with the answer
@@ -2473,11 +2383,11 @@ mod tests {
         let mut engine = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
         let n = batch.universe_size();
         let _ = engine.bc(&BitSet::from_iter(n, [0]));
-        assert_ne!(engine.scratch.epoch, 0, "overlay path must have run");
+        assert_ne!(engine.scratches[0].epoch, 0, "overlay path must have run");
         engine.rebase(&BitSet::from_iter(n, [1]));
-        assert_eq!(engine.scratch.epoch, 0);
-        assert!(engine.scratch.state_epoch.iter().all(|&e| e == 0));
-        assert!(engine.scratch.queued_epoch.iter().all(|&e| e == 0));
+        assert_eq!(engine.scratches[0].epoch, 0);
+        assert!(engine.scratches[0].state_epoch.iter().all(|&e| e == 0));
+        assert!(engine.scratches[0].queued_epoch.iter().all(|&e| e == 0));
         // And evaluation right after the wipe stays correct.
         let a = engine.bc(&BitSet::from_iter(n, [0]));
         let mut fresh = BestCostEngine::new(batch.memo(), &cm, batch.root(), batch.shareable());
@@ -2620,6 +2530,77 @@ mod tests {
         }
         assert_eq!(engine.cone_reuses(), 0);
         assert!(engine.cones.entries.is_empty(), "no cone was recorded");
+    }
+
+    /// The bit patterns of an arena, so `-0.0` and `0.0` compare unequal.
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Replays a greedy-shaped sequence of near-base commits: each step
+    /// runs a `bc_many` round at the base, then moves the base by 1–4
+    /// elements (the round's best pick, plus up to three random flips),
+    /// so every commit stays within the rebase threshold. After each
+    /// commit the base arenas and total must equal a full solve of the
+    /// same set bitwise.
+    fn incremental_commits_match_full_solves(batch: &BatchDag, steps: usize) {
+        let mut engine = serial_engine(batch);
+        let n = engine.universe_size();
+        let mut rng = mqo_submod::prng::Prng::seed_from_u64(0xC0FF_EE29);
+        let mut base = BitSet::empty(n);
+        for step in 0..steps {
+            let sets = round(&base);
+            let mut target = base.clone();
+            if !sets.is_empty() {
+                let values = engine.bc_many(&sets);
+                let pick = (0..values.len())
+                    .min_by(|&a, &b| values[a].total_cmp(&values[b]))
+                    .unwrap();
+                target = sets[pick].clone();
+            }
+            for _ in 0..rng.gen_range(0..4usize) {
+                let e = rng.gen_range(0..n);
+                if target.contains(e) {
+                    target.remove(e);
+                } else {
+                    target.insert(e);
+                }
+            }
+            let dist = target.symmetric_difference_len(&base);
+            assert!(dist <= REBASE_THRESHOLD, "step {step}: move of {dist}");
+            let (full_before, _) = engine.eval_counts();
+            engine.rebase(&target);
+            assert_eq!(
+                engine.eval_counts().0,
+                full_before,
+                "step {step}: the commit must be incremental"
+            );
+            let fresh = BestCostEngine::from_arenas(Arc::clone(engine.arenas()), engine.config);
+            let (mut compute, mut use_) = (Vec::new(), Vec::new());
+            fresh.full_solve_into(&target, &mut compute, &mut use_);
+            let total = fresh.total_from_slice(&target, &compute);
+            assert_eq!(bits(&engine.base_compute), bits(&compute), "step {step}");
+            assert_eq!(bits(&engine.base_use), bits(&use_), "step {step}");
+            assert_eq!(engine.base_total.to_bits(), total.to_bits(), "step {step}");
+            base = target;
+        }
+    }
+
+    /// A seeded chain instance from the workload generator (the
+    /// `engine_differential.rs` fixture).
+    fn chain_instance() -> BatchDag {
+        let w = mqo_tpcd::generate(&mqo_tpcd::WorkloadSpec {
+            queries: 40,
+            span: (4, 7),
+            ..mqo_tpcd::WorkloadSpec::smoke(mqo_tpcd::Shape::Chain, 11)
+        });
+        BatchDag::build(w.ctx, &w.queries, &RuleSet::default())
+    }
+
+    #[test]
+    fn incremental_commits_are_bitwise_full_solves() {
+        incremental_commits_match_full_solves(&bq4(), 30);
+        incremental_commits_match_full_solves(&chain_instance(), 30);
     }
 
     #[test]

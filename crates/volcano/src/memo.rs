@@ -712,59 +712,77 @@ impl Memo {
     /// Children groups of a group: union over its live expressions,
     /// deduplicated.
     pub fn group_children(&self, g: GroupId) -> Vec<GroupId> {
-        let mut out: Vec<GroupId> = self
-            .group_exprs(g)
-            .flat_map(|e| self.children(e).iter().map(|&c| self.find(c)))
-            .collect();
+        let mut out = Vec::new();
+        self.group_children_into(g, &mut out);
+        out
+    }
+
+    /// [`Memo::group_children`] into a caller-held buffer (cleared first).
+    fn group_children_into(&self, g: GroupId, out: &mut Vec<GroupId>) {
+        out.clear();
+        out.extend(
+            self.group_exprs(g)
+                .flat_map(|e| self.children(e).iter().map(|&c| self.find(c))),
+        );
         out.sort_unstable();
         out.dedup();
-        out
     }
 
     /// Groups in a topological order (children before parents). Only live
     /// representative groups are emitted.
     pub fn topo_order(&self) -> Vec<GroupId> {
+        self.topo_parts().0
+    }
+
+    /// The topological order, plus the children of every representative
+    /// group as one slot-indexed CSR (`kids[off[g]..off[g + 1]]`, as
+    /// [`Memo::group_children`] lists them; merged-away slots are empty).
+    /// The children are collected once, through one reused buffer, and the
+    /// order is a depth-first post-order over them, visiting slots and
+    /// each group's children in ascending order.
+    fn topo_parts(&self) -> (Vec<GroupId>, Vec<u32>, Vec<GroupId>) {
         let n = self.groups.len();
+        let (mut off, mut kids, mut buf) = (Vec::with_capacity(n + 1), Vec::new(), Vec::new());
+        off.push(0u32);
+        for slot in 0..n as u32 {
+            if self.find(GroupId(slot)).0 == slot {
+                self.group_children_into(GroupId(slot), &mut buf);
+                kids.extend_from_slice(&buf);
+            }
+            off.push(kids.len() as u32);
+        }
         let mut state = vec![0u8; n]; // 0 = unvisited, 1 = visiting, 2 = done
-        let mut out = Vec::with_capacity(n);
+        let mut order = Vec::with_capacity(n);
+        // (group, position of its next child in `kids`)
+        let mut stack: Vec<(GroupId, u32)> = Vec::new();
         for start in 0..n as u32 {
             let start = self.find(GroupId(start));
             if state[start.0 as usize] != 0 {
                 continue;
             }
-            let mut stack: Vec<(GroupId, Vec<GroupId>, usize)> =
-                vec![(start, self.group_children(start), 0)];
             state[start.0 as usize] = 1;
-            while !stack.is_empty() {
-                let (g, next) = {
-                    let top = stack.last_mut().expect("non-empty stack");
-                    if top.2 < top.1.len() {
-                        let c = top.1[top.2];
-                        top.2 += 1;
-                        (top.0, Some(c))
-                    } else {
-                        (top.0, None)
-                    }
-                };
-                match next {
-                    Some(c) => match state[c.0 as usize] {
+            stack.push((start, off[start.0 as usize]));
+            while let Some(top) = stack.last_mut() {
+                let g = top.0;
+                if top.1 < off[g.0 as usize + 1] {
+                    let c = kids[top.1 as usize];
+                    top.1 += 1;
+                    match state[c.0 as usize] {
                         0 => {
                             state[c.0 as usize] = 1;
-                            let children = self.group_children(c);
-                            stack.push((c, children, 0));
+                            stack.push((c, off[c.0 as usize]));
                         }
                         1 => panic!("cycle in memo DAG"),
                         _ => {}
-                    },
-                    None => {
-                        state[g.0 as usize] = 2;
-                        out.push(g);
-                        stack.pop();
                     }
+                } else {
+                    state[g.0 as usize] = 2;
+                    order.push(g);
+                    stack.pop();
                 }
             }
         }
-        out
+        (order, off, kids)
     }
 
     /// Builds the dense topological view of the live representative groups:
@@ -773,7 +791,7 @@ impl Memo {
     /// `bestCost` engine) index flat arrays by dense position instead of
     /// hashing `GroupId`s on every lookup.
     pub fn topo_view(&self) -> TopoView {
-        let order = self.topo_order();
+        let (order, off, kids) = self.topo_parts();
         let n = order.len();
         let mut dense_of_slot = vec![u32::MAX; self.groups.len()];
         for (i, &g) in order.iter().enumerate() {
@@ -792,22 +810,23 @@ impl Memo {
         // self-edges excluded (an expression computing a group from itself
         // is tombstoned, but group-level dedup is re-checked here anyway).
         let mut children_off = Vec::with_capacity(n + 1);
-        let mut children = Vec::new();
+        let mut children = Vec::with_capacity(kids.len());
         let mut parents_count = vec![0u32; n];
         children_off.push(0u32);
         for (gi, &g) in order.iter().enumerate() {
-            let mut cs: Vec<u32> = self
-                .group_children(g)
-                .into_iter()
-                .map(|c| dense_of_slot[c.0 as usize])
-                .filter(|&c| c as usize != gi)
-                .collect();
-            cs.sort_unstable();
-            cs.dedup();
-            for &c in &cs {
+            // `kids` are distinct representatives, which map to distinct
+            // dense indices: only the order changes.
+            let (start, slot) = (children.len(), g.0 as usize);
+            children.extend(
+                kids[off[slot] as usize..off[slot + 1] as usize]
+                    .iter()
+                    .map(|c| dense_of_slot[c.0 as usize])
+                    .filter(|&c| c as usize != gi),
+            );
+            children[start..].sort_unstable();
+            for &c in &children[start..] {
                 parents_count[c as usize] += 1;
             }
-            children.extend_from_slice(&cs);
             children_off.push(children.len() as u32);
         }
 

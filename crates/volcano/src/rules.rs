@@ -16,9 +16,11 @@
 //! 1. **Generate** — every frontier expression is matched against the
 //!    per-expression rules on a frozen `&Memo` snapshot, producing
 //!    `Candidate` programs (small insert scripts) without mutating
-//!    anything. This phase is embarrassingly parallel: with `threads > 1`
-//!    the frontier is split into contiguous chunks and fanned out over
-//!    `std::thread::scope` workers.
+//!    anything. This phase is embarrassingly parallel: the frontier goes
+//!    through [`fan_out`], the workspace's one chunked fan-out, which cuts
+//!    it into contiguous chunks and runs chunk 0 on the calling thread and
+//!    the rest on `std::thread::scope` workers (with `threads = 1`, one
+//!    chunk and no spawn).
 //! 2. **Commit** — a single thread replays the candidates in frontier
 //!    order through [`Memo::insert`], which hash-conses, merges, and logs
 //!    every change. The commit order is a pure function of the frontier,
@@ -144,6 +146,47 @@ pub fn effective_threads(threads: usize, n_items: usize) -> usize {
         t => t,
     };
     t.clamp(1, n_items.max(1))
+}
+
+/// The workspace's one fan-out: runs `f(state, item, slot)` for every item
+/// and its output slot, with one worker per entry of `states` (size it with
+/// [`effective_threads`]). The items are cut into contiguous chunks of
+/// `⌈items / states⌉`; chunk `i` runs with `states[i]`, chunk 0 on the
+/// calling thread and the others on `std::thread::scope` workers, so a
+/// single chunk spawns nothing. Each slot is written by its own item, so
+/// the output is in input order whatever the worker count. Shared by the
+/// expansion fixpoint's candidate generation and `mqo-core`'s batched
+/// oracle.
+///
+/// # Panics
+/// If `items` and `out` differ in length, or `states` is empty while
+/// `items` is not.
+pub fn fan_out<T: Sync, O: Send, S: Send>(
+    items: &[T],
+    out: &mut [O],
+    states: &mut [S],
+    f: impl Fn(&mut S, &T, &mut O) + Sync,
+) {
+    assert_eq!(items.len(), out.len(), "one output slot per item");
+    assert!(!states.is_empty() || items.is_empty(), "no worker state");
+    let chunk = items.len().div_ceil(states.len().max(1)).max(1);
+    let run = |((items, out), state): ((&[T], &mut [O]), &mut S)| {
+        for (item, slot) in items.iter().zip(out) {
+            f(state, item, slot);
+        }
+    };
+    let mut chunks = items.chunks(chunk).zip(out.chunks_mut(chunk)).zip(states);
+    let Some(first) = chunks.next() else { return };
+    if chunk == items.len() {
+        run(first);
+    } else {
+        std::thread::scope(|scope| {
+            for c in chunks {
+                scope.spawn(|| run(c));
+            }
+            run(first);
+        });
+    }
 }
 
 /// Expands the memo to fixpoint under `rules` with serial candidate
@@ -384,10 +427,9 @@ fn commit(memo: &mut Memo, cand: Candidate) {
     }
 }
 
-/// Generates candidates for every frontier expression. With `threads > 1`
-/// the frontier is split into contiguous chunks processed by scoped worker
-/// threads; output slots are indexed by frontier position, so the result —
-/// and therefore the commit order — is independent of the fan-out.
+/// Generates candidates for every frontier expression through [`fan_out`]:
+/// output slots are indexed by frontier position, so the result — and
+/// therefore the commit order — is independent of the worker count.
 fn generate_all(
     memo: &Memo,
     rules: &RuleSet,
@@ -399,23 +441,13 @@ fn generate_all(
     if out.len() < frontier.len() {
         out.resize_with(frontier.len(), Vec::new);
     }
-    let workers = effective_threads(threads, frontier.len());
-    if workers <= 1 {
-        for (slot, &entry) in out.iter_mut().zip(frontier.iter()) {
-            generate(memo, rules, entry, grown, slot);
-        }
-        return;
-    }
-    let chunk = frontier.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (items, slots) in frontier.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (&entry, slot) in items.iter().zip(slots.iter_mut()) {
-                    generate(memo, rules, entry, grown, slot);
-                }
-            });
-        }
-    });
+    let mut workers = vec![(); effective_threads(threads, frontier.len())];
+    fan_out(
+        frontier,
+        &mut out[..frontier.len()],
+        &mut workers,
+        |_, &entry, slot| generate(memo, rules, entry, grown, slot),
+    );
 }
 
 /// Matches one frontier entry against the per-expression rules.
@@ -1250,5 +1282,89 @@ mod tests {
             assert_eq!(serial.exprs_allocated(), parallel.exprs_allocated());
             assert_eq!(serial.topo_view(), parallel.topo_view());
         }
+    }
+
+    /// Per-worker record of a [`fan_out`] run: the items it saw, in order,
+    /// and the threads it ran on.
+    #[derive(Default)]
+    struct Seen {
+        items: Vec<usize>,
+        threads: Vec<std::thread::ThreadId>,
+    }
+
+    /// Fans `0..n` out over `workers` states, doubling each item into its
+    /// slot.
+    fn fan(n: usize, workers: usize) -> (Vec<usize>, Vec<Seen>) {
+        let items: Vec<usize> = (0..n).collect();
+        let mut out = vec![usize::MAX; n];
+        let mut states: Vec<Seen> = (0..workers).map(|_| Seen::default()).collect();
+        fan_out(&items, &mut out, &mut states, |seen, &i, slot| {
+            seen.items.push(i);
+            seen.threads.push(std::thread::current().id());
+            *slot = 2 * i;
+        });
+        (out, states)
+    }
+
+    #[test]
+    fn fan_out_of_nothing_runs_nothing() {
+        let (out, states) = fan(0, 3);
+        assert!(out.is_empty());
+        assert!(states.iter().all(|s| s.items.is_empty()));
+        // No worker state is needed when there is no work.
+        fan_out(
+            &[] as &[u8],
+            &mut [] as &mut [u8],
+            &mut [] as &mut [()],
+            |_, _, _| unreachable!(),
+        );
+    }
+
+    #[test]
+    fn fan_out_writes_every_slot_in_input_order() {
+        for (n, workers) in [(1, 1), (7, 1), (7, 2), (9, 3), (10, 4), (5, 16)] {
+            let (out, _) = fan(n, workers);
+            let expect: Vec<usize> = (0..n).map(|i| 2 * i).collect();
+            assert_eq!(out, expect, "{n} items over {workers} workers");
+        }
+    }
+
+    #[test]
+    fn fan_out_gives_each_worker_one_contiguous_chunk_in_order() {
+        // 10 items over 4 workers do not divide evenly: chunks of 3, the
+        // last one short.
+        let (_, states) = fan(10, 4);
+        let chunks: Vec<Vec<usize>> = states.iter().map(|s| s.items.clone()).collect();
+        assert_eq!(
+            chunks,
+            vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8], vec![9]]
+        );
+        // Chunk 0 runs on the calling thread, every other chunk on one
+        // worker thread of its own.
+        let caller = std::thread::current().id();
+        assert!(states[0].threads.iter().all(|&t| t == caller));
+        for s in &states[1..] {
+            assert!(s.threads.iter().all(|&t| t == s.threads[0] && t != caller));
+        }
+    }
+
+    #[test]
+    fn fan_out_leaves_surplus_workers_idle() {
+        // More workers than items: one item per chunk, and the states past
+        // the last chunk never run.
+        let (out, states) = fan(3, 8);
+        assert_eq!(out, vec![0, 2, 4]);
+        for (w, s) in states.iter().enumerate() {
+            let expect: Vec<usize> = if w < 3 { vec![w] } else { Vec::new() };
+            assert_eq!(s.items, expect, "worker {w}");
+        }
+    }
+
+    #[test]
+    fn fan_out_with_one_worker_stays_on_the_calling_thread() {
+        let (_, states) = fan(6, 1);
+        let caller = std::thread::current().id();
+        assert_eq!(states[0].items, (0..6).collect::<Vec<_>>());
+        assert!(states[0].threads.iter().all(|&t| t == caller));
     }
 }

@@ -5,9 +5,10 @@
 # with --offline against an empty registry cache. Steps:
 #   1. release build of every default-member crate
 #   2. full test suite (unit + integration + doc-tests, warning-free),
-#      run twice: MQO_THREADS=1 (serial oracle + expansion) and
-#      MQO_THREADS=4 (sharded bc_many + parallel expansion) — results
-#      must be identical by construction (the serve-stress and
+#      run twice: MQO_THREADS=1 (one worker: the shared fan-out behind
+#      bc_many and expansion runs inline) and MQO_THREADS=4 (four workers:
+#      chunk 0 on the calling thread, the rest on scoped threads) —
+#      results must be identical by construction (the serve-stress and
 #      fault-injection suites run here, with the debug-build serve
 #      lock-order detector live inside them)
 #   3. all remaining targets: examples, benches, experiment binaries
@@ -99,13 +100,13 @@ cargo build --release --offline
 # The two full-suite runs below are what executes the differential
 # suites (engine_differential, memo_differential,
 # plan_extraction_differential), serve_stress and fault_injection under
-# both thread settings — parallel ≡ serial bit-identity, arena ≡
+# both thread settings — one-worker ≡ four-worker bit-identity, arena ≡
 # PlanTable plan-extraction equivalence, concurrent-service ≡ fresh-build
 # equivalence and fault containment are pinned on every run.
-echo "==> cargo test -q --offline (MQO_THREADS=1: serial oracle + expansion, incl. differential suites)"
+echo "==> cargo test -q --offline (MQO_THREADS=1: one-worker fan-out for bc_many + expansion, incl. differential suites)"
 MQO_THREADS=1 cargo test -q --offline
 
-echo "==> cargo test -q --offline (MQO_THREADS=4: sharded bc_many + parallel expansion, incl. differential suites)"
+echo "==> cargo test -q --offline (MQO_THREADS=4: four-worker fan-out for bc_many + expansion, incl. differential suites)"
 MQO_THREADS=4 cargo test -q --offline
 
 echo "==> cargo build --all-targets --offline (examples, benches, bins)"
