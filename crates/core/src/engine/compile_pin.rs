@@ -118,9 +118,27 @@ const STREAM: [u64; 8] = [
     0xff8736e90b24659a,
 ];
 
-/// One digest folded over every step of the churn sequence, and the step
-/// count.
-const CHURN: (u64, usize) = (0x75c372277bdc57ab, 17);
+/// The arena digest after each step of the churn sequence, so a drift
+/// names the step that moved.
+const CHURN: [(&str, u64); 17] = [
+    ("build", 0x3d1960541b43778a),
+    ("add 0", 0x942d95242b125477),
+    ("add 1", 0xceb9ca7ce3684297),
+    ("add 2", 0x429298c4dc2d268e),
+    ("add 3", 0x3c8b38ba8a0c651f),
+    ("add 4", 0xa1fa4583732b0e12),
+    ("add 5", 0xfc29120bfd99b720),
+    ("add 6", 0x46aec18b4f3d2c38),
+    ("add 7", 0x110ccc2bffe7cea0),
+    ("retire 0", 0x9f9e0d6f17949d60),
+    ("add 8", 0x9c5291e312a99564),
+    ("retire 1", 0x592f2b6144ddc77a),
+    ("add 9", 0x8d795d3cc18e5db7),
+    ("retire 2", 0xfc2a0661247b0e2f),
+    ("add 10", 0x293170b860353ed7),
+    ("retire 3", 0x389caacdacdd33a7),
+    ("add 11", 0x511a40d501a10d35),
+];
 
 /// `batch-stream`'s spec for batch `i` of a run at seed 7: shape
 /// `Shape::ALL[i % 4]`, overlap `[0.0, 0.3, 0.6][i % 3]`.
@@ -186,26 +204,27 @@ fn serve_churn_arenas_are_pinned_at_every_step() {
         });
         let (base, pool) = w.queries.split_at(24);
         let mut batch = build(w.ctx, base, threads);
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-        let mut steps = 0;
-        let mut step = |batch: &BatchDag| {
-            digest_of(batch).hash(&mut h);
-            steps += 1;
-        };
-        step(&batch);
+        let mut got = vec![("build".to_string(), digest_of(&batch))];
         let mut arrivals = std::collections::VecDeque::new();
-        for q in &pool[..8] {
-            arrivals.push_back(batch.add_query_with_threads(q, threads));
-            step(&batch);
+        for (i, q) in pool[..12].iter().enumerate() {
+            if i >= 8 {
+                let (n, oldest) = arrivals.pop_front().expect("live arrivals");
+                batch.retire_query_with_threads(oldest, threads);
+                got.push((format!("retire {n}"), digest_of(&batch)));
+            }
+            arrivals.push_back((i, batch.add_query_with_threads(q, threads)));
+            got.push((format!("add {i}"), digest_of(&batch)));
         }
-        for q in &pool[8..12] {
-            let oldest = arrivals.pop_front().expect("live arrivals");
-            batch.retire_query_with_threads(oldest, threads);
-            step(&batch);
-            arrivals.push_back(batch.add_query_with_threads(q, threads));
-            step(&batch);
-        }
-        let got = (h.finish(), steps);
-        assert_eq!(got, CHURN, "churn@{threads}: {:#018x}", got.0);
+        let moved: Vec<String> = got
+            .iter()
+            .enumerate()
+            .filter(|&(i, (step, d))| CHURN.get(i) != Some(&(step.as_str(), *d)))
+            .map(|(_, (step, d))| format!("(\"{step}\", {d:#018x})"))
+            .collect();
+        assert!(
+            got.len() == CHURN.len() && moved.is_empty(),
+            "churn@{threads}: {} steps, moved: {moved:#?}",
+            got.len()
+        );
     }
 }

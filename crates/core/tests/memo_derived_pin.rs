@@ -5,7 +5,8 @@
 //! 6–9, overlap 0.3). After every operation one FNV-1a digest absorbs:
 //! the shareable group ids and their fingerprints in slot order, the live
 //! tickets, `history_len`, the cumulative expansion counts, and
-//! MarginalGreedy's `total_cost` bits and materialized groups. The
+//! MarginalGreedy's `total_cost` bits and materialized groups. Each step
+//! keeps its own digest, so a drift names the operation that moved. The
 //! digests must match at threads 1 and 4, so however the universe is
 //! recomputed after a commit, its slot order, tombstoning and the plans it
 //! yields stay put.
@@ -20,11 +21,86 @@ use mqo_tpcd::{Shape, WorkloadSpec};
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::{DagContext, PlanNode};
 
-/// `(workload, digest, operations, final universe size, final history_len)`.
-const PINNED: [(&str, u64, usize, usize, usize); 3] = [
-    ("BQ3", 0x472e8b37098cc3d5, 12, 49, 6),
-    ("BQ4", 0xf531e95351940561, 15, 58, 5),
-    ("serve-churn", 0x7e16309532dfd3e0, 24, 528, 28),
+/// `(workload, digest after each step, final universe size, final
+/// history_len)`. A step is named by its position and its operation.
+type Pin = (&'static str, &'static [(&'static str, u64)], usize, usize);
+
+const PINNED: [Pin; 3] = [
+    (
+        "BQ3",
+        &[
+            ("0 build", 0xeb5ab5a692f5b324),
+            ("1 add", 0x1addde6b321214b2),
+            ("2 retire", 0x22f95b234ab5f2aa),
+            ("3 speculative add", 0x2978a8dfce013092),
+            ("4 rollback", 0xd6b01675d9b44ca0),
+            ("5 add", 0x74afe981d58c916a),
+            ("6 retire", 0x2fa3359dc0bb6bf5),
+            ("7 compact", 0x7b1ff6ea3e7179c3),
+            ("8 retire", 0x9e92fd4b70917b26),
+            ("9 add", 0x1793bcce5c41fcd1),
+            ("10 add", 0xc64057904fa31c99),
+            ("11 add", 0xd8b469afe0f8a72f),
+            ("12 add", 0x252e2963add2a9fe),
+        ],
+        49,
+        6,
+    ),
+    (
+        "BQ4",
+        &[
+            ("0 build", 0xeb5ab5a692f5b324),
+            ("1 speculative add", 0x7cb1f343f45e214d),
+            ("2 rollback", 0xf488d654cd8c933b),
+            ("3 add", 0xa32b61875d4c7618),
+            ("4 retire", 0x90ae6c5063553ab4),
+            ("5 speculative add", 0xce8b3e41cb44c0c6),
+            ("6 rollback", 0x5963b03a0e2816dd),
+            ("7 add", 0xc59aa9d198223c54),
+            ("8 compact", 0x909e00dcbf5770a3),
+            ("9 speculative add", 0x859bee4d26e70a5f),
+            ("10 rollback", 0x98dc0ca309a694a6),
+            ("11 speculative add", 0xd7252c76ce4839a4),
+            ("12 rollback", 0x4ab93603ebf7399b),
+            ("13 add", 0x6558de855073606a),
+            ("14 add", 0xf9ff3286788d408f),
+            ("15 retire", 0x2a22d3c84c9b2bc1),
+        ],
+        58,
+        5,
+    ),
+    (
+        "serve-churn",
+        &[
+            ("0 build", 0xe77ff7ad4eef7226),
+            ("1 speculative add", 0x7091cef70115f599),
+            ("2 rollback", 0x7ef899378678efc2),
+            ("3 speculative add", 0xd84c164a78e8a192),
+            ("4 rollback", 0xfb900cee601fcacd),
+            ("5 add", 0xe8e5eaf234fab07f),
+            ("6 retire", 0x74225cf130f1c3a0),
+            ("7 speculative add", 0x5e9b6431b0ed309e),
+            ("8 rollback", 0x3891912a34752706),
+            ("9 retire", 0xdcef2f97ce931ad9),
+            ("10 speculative add", 0x632c39894c2689d4),
+            ("11 rollback", 0x663006fc9e0a70ea),
+            ("12 add", 0xf58a81d9584b6808),
+            ("13 compact", 0x0313b187fd2f5bba),
+            ("14 add", 0xf6a4810e3914d840),
+            ("15 speculative add", 0xfa77583eac2b1511),
+            ("16 rollback", 0x64314bd70ce4ffa0),
+            ("17 add", 0x94db8c945f1ac147),
+            ("18 retire", 0xf999ac2162a87ee8),
+            ("19 speculative add", 0x55d0359d7b686d4e),
+            ("20 rollback", 0x1619c15eb605f51f),
+            ("21 add", 0xf7b8ecdc75b444ac),
+            ("22 add", 0x3876514023926604),
+            ("23 speculative add", 0xa9c6344be928ab82),
+            ("24 rollback", 0xcc4835640e8d10b1),
+        ],
+        528,
+        28,
+    ),
 ];
 
 /// FNV-1a over every byte a `Hash` impl writes.
@@ -81,7 +157,9 @@ fn absorb(batch: &OptimizedBatch, h: &mut Fnv) {
     mats.hash(h);
 }
 
-fn run_sequence(name: &'static str, threads: usize) -> (&'static str, u64, usize, usize, usize) {
+/// The per-step digests of `name`'s sequence, the final universe size and
+/// the final `history_len`.
+fn run_sequence(name: &str, threads: usize) -> (Vec<(String, u64)>, usize, usize) {
     let (ctx, queries, base, steps) = workload(name);
     let mut batch = Session::builder()
         .context(ctx)
@@ -99,64 +177,67 @@ fn run_sequence(name: &'static str, threads: usize) -> (&'static str, u64, usize
         0x50494E,
         name.bytes().map(u64::from).sum(),
     ));
-    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    let mut ops = 0;
-    absorb(&batch, &mut h);
+    let mut digests = Vec::new();
+    let mut record = |batch: &OptimizedBatch, op: &str| {
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        absorb(batch, &mut h);
+        digests.push((format!("{} {op}", digests.len()), h.finish()));
+    };
+    record(&batch, "build");
     for step in 0..steps {
         if step == steps / 2 {
             batch.compact_history();
-            absorb(&batch, &mut h);
-            ops += 1;
+            record(&batch, "compact");
         }
-        match rng.gen_range(0u32..4) {
+        let op = match rng.gen_range(0u32..4) {
             0 | 1 if !available.is_empty() => {
                 let q = available.swap_remove(rng.gen_range(0..available.len()));
                 let t = batch.add_query(q.clone());
                 live.push((t, q));
+                "add"
             }
             2 if live.len() > 1 => {
                 let (t, q) = live.remove(rng.gen_range(0..live.len()));
                 batch.retire_query(t);
                 available.push(q);
+                "retire"
             }
             _ if !available.is_empty() => {
                 let sp = batch.savepoint();
                 let q = available[rng.gen_range(0..available.len())].clone();
                 batch.add_query(q);
-                absorb(&batch, &mut h);
-                ops += 1;
+                record(&batch, "speculative add");
                 batch.rollback(sp);
+                "rollback"
             }
             _ => continue,
-        }
-        absorb(&batch, &mut h);
-        ops += 1;
+        };
+        record(&batch, op);
     }
-    (
-        name,
-        h.finish(),
-        ops,
-        batch.universe_size(),
-        batch.history_len(),
-    )
+    (digests, batch.universe_size(), batch.history_len())
 }
 
 #[test]
 fn memo_derived_state_is_pinned_through_evolution() {
     for threads in [1usize, 4] {
-        let got: Vec<_> = PINNED
-            .iter()
-            .map(|&(name, ..)| {
-                let row = run_sequence(name, threads);
-                let (name, digest, ops, universe, history) = row;
-                println!("    (\"{name}\", {digest:#018x}, {ops}, {universe}, {history}),");
-                row
-            })
-            .collect();
-        assert_eq!(
-            got, PINNED,
-            "threads {threads}: memo-derived state drifted \
-             (workload, digest, operations, universe, history_len)"
-        );
+        for (name, want, universe, history) in PINNED {
+            let (got, got_universe, got_history) = run_sequence(name, threads);
+            let moved: Vec<String> = got
+                .iter()
+                .enumerate()
+                .filter(|&(i, (step, d))| want.get(i) != Some(&(step.as_str(), *d)))
+                .map(|(_, (step, d))| format!("(\"{step}\", {d:#018x})"))
+                .collect();
+            assert!(
+                got.len() == want.len() && moved.is_empty(),
+                "{name}@{threads}: {} steps, moved: {moved:#?}",
+                got.len()
+            );
+            assert_eq!(
+                (got_universe, got_history),
+                (universe, history),
+                "{name}@{threads}: final (universe, history_len)"
+            );
+        }
     }
 }
