@@ -13,17 +13,18 @@
 //! A `BatchDag` exposes its memo only behind accessors, so the lazily
 //! computed [`TopoView`] can never silently go stale (the pre-`Session`
 //! API exposed the memo as a public field and had to guard the view with a
-//! runtime fingerprint assertion). Since PR 6 the batch is *evolvable*:
-//! [`BatchDag::add_query_with_threads`] and
-//! [`BatchDag::retire_query_with_threads`] grow and shrink the live batch.
+//! runtime fingerprint assertion). The batch is *evolvable*: admissions
+//! and retires grow and shrink the live batch, through
+//! [`crate::session::OptimizedBatch`] and [`crate::serve::MqoService`].
 //! The memo is append-only: an admission extends it through the seeded
 //! expansion fixpoint, and a retire or rollback rebuilds it from the
-//! surviving queries' plans. Either way the commit recounts the shareable
-//! universe from the memo as it stands and swaps in a fresh topological
-//! view, and universe *slots* stay stable across evolutions (retired
-//! elements are tombstoned, never renumbered).
+//! surviving queries' plans in ticket order. Either way the commit
+//! recounts the shareable universe from the memo as it stands and swaps in
+//! a fresh topological view. The universe is exactly the memo's shareable
+//! set, ascending by group id, so a retired or rolled-back batch is a
+//! fresh build of its survivors: same group ids, same universe order, same
+//! compiled arenas.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -58,19 +59,7 @@ struct QueryEntry {
     /// The submitted logical plan (kept for the rebuild on
     /// retire/rollback), shared so a savepoint copies a pointer.
     plan: Arc<PlanNode>,
-    /// The query's root group in the current memo state.
-    root: GroupId,
     /// Whether the query is still part of the batch.
-    live: bool,
-}
-
-/// One slot of the stable universe: a shareable group matched across
-/// evolution steps by its structural fingerprint. Slots are append-only;
-/// retiring a query tombstones slots instead of renumbering survivors.
-#[derive(Clone, Debug)]
-struct UniverseSlot {
-    fingerprint: u64,
-    group: GroupId,
     live: bool,
 }
 
@@ -95,16 +84,10 @@ pub struct BatchDag {
     /// Next ticket id to issue; never decreases, so tickets are unique for
     /// the lifetime of the batch.
     next_ticket: u32,
-    /// The stable universe slots (live and tombstoned).
-    universe: Vec<UniverseSlot>,
-    /// The live shareable equivalence nodes (the MQO ground set) in stable
-    /// slot order; index order is the universe element order of the
-    /// set-function layer. On a freshly built batch this is ascending by
-    /// group id.
+    /// The shareable equivalence nodes (the MQO ground set), ascending by
+    /// group id; index order is the universe element order of the
+    /// set-function layer.
     shareable: Vec<GroupId>,
-    /// Canonical group slot → universe element (`u32::MAX` = not in the
-    /// universe).
-    elem_of_group: Vec<u32>,
     /// Cumulative expansion statistics (initial build plus evolutions).
     expansion: ExpansionStats,
     /// Lazily computed dense topological view of the current memo state;
@@ -112,7 +95,7 @@ pub struct BatchDag {
     /// `Arc` keep a consistent snapshot.
     topo: OnceLock<Arc<TopoView>>,
     /// Process-unique batch identity, stamped into every
-    /// [`BatchSavepoint`] so [`BatchDag::try_rollback_with_threads`] can
+    /// [`BatchSavepoint`] so `BatchDag::rollback` can
     /// reject savepoints from a different batch as
     /// [`MqoError::StaleSavepoint`] instead of silently rebuilding.
     uid: u64,
@@ -144,43 +127,25 @@ impl BatchDag {
         }
         let expansion = expand_with(&mut memo, rules, threads);
         let root = memo.build_batch_root();
-        let query_roots = memo.roots();
         let entries = queries
             .iter()
-            .zip(&query_roots)
             .enumerate()
-            .map(|(i, (q, &r))| QueryEntry {
+            .map(|(i, q)| QueryEntry {
                 ticket: i as u32,
                 plan: Arc::new(q.clone()),
-                root: r,
                 live: true,
             })
             .collect();
-        let shareable = find_shareable(&memo, root);
-        let topo = Arc::new(memo.topo_view());
-        // Initial universe: one live slot per shareable group, ascending.
-        let universe = shareable
-            .iter()
-            .zip(group_fingerprints(&memo, topo.order(), &shareable))
-            .map(|(&g, fingerprint)| UniverseSlot {
-                fingerprint,
-                group: g,
-                live: true,
-            })
-            .collect();
-        let elem_of_group = build_elem_of_group(&memo, &shareable);
         BatchDag {
+            query_roots: memo.roots(),
+            shareable: find_shareable(&memo, root),
             memo,
             rules: *rules,
             root,
-            query_roots,
             entries,
-            universe,
-            shareable,
-            elem_of_group,
             next_ticket: queries.len() as u32,
             expansion,
-            topo: OnceLock::from(topo),
+            topo: OnceLock::new(),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -200,11 +165,10 @@ impl BatchDag {
         &self.query_roots
     }
 
-    /// The shareable equivalence nodes (the MQO ground set) in stable
-    /// universe-slot order; index `e` is universe element `e` of the
-    /// set-function layer. Ascending by group id on a freshly built batch;
-    /// after evolution commits the order reflects slot stability, not id
-    /// order.
+    /// The shareable equivalence nodes (the MQO ground set), ascending by
+    /// group id; index `e` is universe element `e` of the set-function
+    /// layer. Every commit recounts it from the memo, so it depends only on
+    /// the memo as it stands, never on the evolution history before it.
     pub fn shareable(&self) -> &[GroupId] {
         &self.shareable
     }
@@ -212,18 +176,14 @@ impl BatchDag {
     /// Universe element of a shareable group, if it is one (accepts
     /// non-canonical ids).
     pub fn shareable_index(&self, g: GroupId) -> Option<usize> {
-        let slot = self.memo.find(g).0 as usize;
-        match self.elem_of_group.get(slot) {
-            Some(&e) if e != u32::MAX => Some(e as usize),
-            _ => None,
-        }
+        self.shareable.binary_search(&self.memo.find(g)).ok()
     }
 
-    /// Sorted structural fingerprints of the live universe: the id-free
-    /// identity of the shareable ground set, comparable across
-    /// independently built batches (an evolved batch and a fresh build of
-    /// its surviving queries agree here even though their group ids and
-    /// slot orders differ). Differential-harness hook.
+    /// Sorted structural fingerprints of the universe: the id-free identity
+    /// of the shareable ground set, comparable across independently built
+    /// batches (an admission-grown batch and a fresh build of its queries
+    /// agree here even where their group ids differ). Computed on demand;
+    /// differential-harness hook.
     pub fn universe_fingerprints(&self) -> Vec<u64> {
         let mut fps = self.shareable_fingerprints();
         fps.sort_unstable();
@@ -255,19 +215,6 @@ impl BatchDag {
     pub fn is_live(&self, ticket: QueryTicket) -> bool {
         self.entry_index(ticket)
             .is_some_and(|i| self.entries[i].live)
-    }
-
-    /// Root group of a live query.
-    ///
-    /// # Panics
-    /// If the ticket was retired (or never issued by this batch).
-    pub fn ticket_root(&self, ticket: QueryTicket) -> GroupId {
-        let entry = self
-            .entry_index(ticket)
-            .map(|i| &self.entries[i])
-            .unwrap_or_else(|| panic!("ticket {ticket:?} was never issued (or compacted away)"));
-        assert!(entry.live, "ticket {ticket:?} was retired");
-        self.memo.find(entry.root)
     }
 
     /// Expansion statistics of the build.
@@ -319,8 +266,8 @@ impl BatchDag {
         )
     }
 
-    /// Structural fingerprints of the live universe in element order
-    /// (index `e` fingerprints shareable element `e`). Unlike
+    /// Structural fingerprints of the universe in element order (index `e`
+    /// fingerprints shareable element `e`), computed on demand. Unlike
     /// [`BatchDag::universe_fingerprints`] this is *not* sorted: it keys
     /// per-element state (the serving layer's materialization cache)
     /// across evolution commits.
@@ -335,16 +282,14 @@ impl BatchDag {
         self.entries.len()
     }
 
-    /// Drops retired provenance entries and dead universe slots, so
-    /// [`BatchDag::history_len`] afterwards depends only on the live query
-    /// count, not on how many add/retire cycles preceded it. The memo is
-    /// not touched: it already holds exactly the survivors (every retire
-    /// rebuilds it), so compaction never re-expands. Outstanding tickets
-    /// stay valid (they carry stable ids), and the live slots keep their
-    /// order, so universe elements are unchanged.
+    /// Drops retired provenance entries, so [`BatchDag::history_len`]
+    /// afterwards depends only on the live query count, not on how many
+    /// add/retire cycles preceded it. The memo is not touched: it already
+    /// holds exactly the survivors (every retire rebuilds it), so
+    /// compaction never re-expands and the universe is unchanged.
+    /// Outstanding tickets stay valid (they carry stable ids).
     pub fn compact_history(&mut self) {
         self.entries.retain(|e| e.live);
-        self.universe.retain(|s| s.live);
     }
 
     // -----------------------------------------------------------------------
@@ -354,9 +299,9 @@ impl BatchDag {
     /// Admits a new query into the live batch without a full rebuild: the
     /// plan is appended to the memo, the expansion fixpoint re-runs seeded
     /// with only the freshly interned expressions, and the shareable
-    /// universe is recounted from the grown memo (new shareable groups
-    /// append universe slots; existing slots keep their element index).
-    pub fn add_query_with_threads(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
+    /// universe is recounted from the grown memo. `threads` sizes the
+    /// expansion's candidate generation.
+    pub(crate) fn add_query(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
         let watermark = self.memo.exprs_allocated() as u32;
         let root = self.memo.insert_plan(plan);
         self.memo.add_query_root(root);
@@ -371,7 +316,6 @@ impl BatchDag {
         self.entries.push(QueryEntry {
             ticket: ticket.0,
             plan: Arc::new(plan.clone()),
-            root: self.memo.find(root),
             live: true,
         });
         // Chaos-test window: the memo has the new query's expressions but
@@ -384,26 +328,15 @@ impl BatchDag {
 
     /// Retires a query from the live batch. The memo is append-only, so
     /// the query's private expressions are reclaimed by rebuilding it from
-    /// the surviving queries' plans; surviving shareable groups keep their
-    /// universe slots via fingerprint matching, and slots whose group
-    /// disappears are tombstoned, never renumbered. The retired entry
-    /// stays in the provenance log until [`BatchDag::compact_history`].
+    /// the surviving queries' plans: afterwards the batch is a fresh build
+    /// of its survivors. The retired entry stays in the provenance log
+    /// until [`BatchDag::compact_history`].
     ///
-    /// # Panics
-    /// If the ticket was already retired, or if it names the last live
-    /// query (a batch is never empty; see `SessionBuilder::build`). The
-    /// fallible variant is [`BatchDag::try_retire_query_with_threads`].
-    pub fn retire_query_with_threads(&mut self, ticket: QueryTicket, threads: usize) {
-        self.try_retire_query_with_threads(ticket, threads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchDag::retire_query_with_threads`]: rejects unknown,
-    /// compacted-away, and already-retired tickets
+    /// Rejects unknown, compacted-away, and already-retired tickets
     /// ([`MqoError::UnknownTicket`] / [`MqoError::TicketRetired`]) and a
     /// retire that would empty the batch ([`MqoError::LastLiveQuery`])
     /// without touching any state.
-    pub fn try_retire_query_with_threads(
+    pub(crate) fn retire_query(
         &mut self,
         ticket: QueryTicket,
         threads: usize,
@@ -427,32 +360,25 @@ impl BatchDag {
         Ok(())
     }
 
-    /// Rebuilds the memo from the surviving entries' plans (exactly the
-    /// initial-build path), then re-matches the universe so surviving
-    /// shareable groups keep their slots. The one path for retire and
-    /// rollback.
+    /// Rebuilds the memo from the surviving entries' plans in ticket order
+    /// (exactly the initial-build path), then commits. The one path for
+    /// retire and rollback.
     fn rebuild_from_entries(&mut self, threads: usize) {
         self.memo.reset();
-        for entry in self.entries.iter_mut().filter(|e| e.live) {
+        for entry in self.entries.iter().filter(|e| e.live) {
             let root = self.memo.insert_plan(&entry.plan);
             self.memo.add_query_root(root);
-            entry.root = root;
         }
         let stats = expand_with(&mut self.memo, &self.rules, threads);
         self.expansion.passes += stats.passes;
         self.expansion.candidates += stats.candidates;
         self.root = self.memo.build_batch_root();
-        for entry in self.entries.iter_mut().filter(|e| e.live) {
-            entry.root = self.memo.find(entry.root);
-        }
         self.commit_evolution();
     }
 
     /// Shared tail of every evolution commit: recount the shareable set
-    /// from the memo as it stands, re-match it against
-    /// the stable universe slots by structural fingerprint, rebuild the
-    /// element index, refresh cached roots, and swap in a fresh topo cell
-    /// so `run*` consumers see a consistent new snapshot.
+    /// from the memo as it stands, refresh cached roots, and swap in a
+    /// fresh topo cell so `run*` consumers see a consistent new snapshot.
     fn commit_evolution(&mut self) {
         self.query_roots = self.memo.roots();
         self.expansion.exprs = self.memo.n_exprs();
@@ -460,117 +386,52 @@ impl BatchDag {
         // Swap the topo cell: engines holding the old Arc keep a frozen
         // consistent snapshot; new compiles see the evolved memo.
         self.topo = OnceLock::new();
-        let new_shareable = find_shareable(&self.memo, self.root);
-        let fps = group_fingerprints(&self.memo, self.topo_arc().order(), &new_shareable);
-
-        // Match new shareable groups to existing slots by fingerprint
-        // (reviving tombstoned slots on an add-after-rollback replay);
-        // unmatched groups append fresh slots, unmatched slots die.
-        let mut slot_of_fp: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, slot) in self.universe.iter().enumerate() {
-            slot_of_fp.entry(slot.fingerprint).or_default().push(i);
-        }
-        let mut matched = vec![false; self.universe.len()];
-        for (&g, &fp) in new_shareable.iter().zip(&fps) {
-            let slot = slot_of_fp
-                .get_mut(&fp)
-                .and_then(|v| (!v.is_empty()).then(|| v.remove(0)));
-            match slot {
-                Some(i) => {
-                    self.universe[i].group = g;
-                    self.universe[i].live = true;
-                    matched[i] = true;
-                }
-                None => {
-                    matched.push(true);
-                    self.universe.push(UniverseSlot {
-                        fingerprint: fp,
-                        group: g,
-                        live: true,
-                    });
-                }
-            }
-        }
-        for (slot, &m) in self.universe.iter_mut().zip(&matched) {
-            if !m {
-                slot.live = false;
-            }
-        }
-        self.shareable = self
-            .universe
-            .iter()
-            .filter(|s| s.live)
-            .map(|s| s.group)
-            .collect();
-        self.elem_of_group = build_elem_of_group(&self.memo, &self.shareable);
+        self.shareable = find_shareable(&self.memo, self.root);
     }
 }
 
-/// A snapshot of a [`BatchDag`]'s evolution state, taken by
-/// [`BatchDag::savepoint`] for speculative admission. It keeps only what a
-/// rebuild cannot recompute — the provenance entries, the universe slots,
-/// and the ticket watermark — and rolling back rebuilds the memo from the
-/// snapshot's live queries.
+/// A snapshot of a batch's evolution state, taken by
+/// [`crate::session::OptimizedBatch::savepoint`] for speculative
+/// admission. It keeps only what a rebuild cannot recompute — the
+/// provenance entries and the ticket watermark — and rolling back rebuilds
+/// the memo from the snapshot's live queries.
 #[derive(Debug)]
 pub struct BatchSavepoint {
     /// Identity of the batch this savepoint was taken on; see
-    /// [`BatchDag::try_rollback_with_threads`].
+    /// `BatchDag::rollback`.
     batch_uid: u64,
     entries: Vec<QueryEntry>,
-    universe: Vec<UniverseSlot>,
     next_ticket: u32,
 }
 
 impl BatchDag {
     /// Captures the current evolution state for a later
     /// [`BatchDag::rollback`]. Cheap: copies the provenance entries, whose
-    /// plans are shared pointers, and the universe slots; never the memo
-    /// or a plan tree.
-    pub fn savepoint(&self) -> BatchSavepoint {
+    /// plans are shared pointers; never the memo or a plan tree.
+    pub(crate) fn savepoint(&self) -> BatchSavepoint {
         BatchSavepoint {
             batch_uid: self.uid,
             entries: self.entries.clone(),
-            universe: self.universe.clone(),
             next_ticket: self.next_ticket,
         }
     }
 
-    /// Rewinds every evolution commit made since `sp` was taken: tickets,
-    /// universe slots, and the live query set return to the snapshot
-    /// state, and the memo is rebuilt from the snapshot's live queries (a
-    /// rollback costs a rebuild).
+    /// Rewinds every evolution commit made since `sp` was taken: tickets
+    /// and the live query set return to the snapshot state, and the memo is
+    /// rebuilt from the snapshot's live queries (a rollback costs a
+    /// rebuild), so the batch is a fresh build of them. `threads` sizes the
+    /// rebuild's expansion.
     ///
-    /// # Panics
-    /// If `sp` is stale: taken on a different batch, or already rolled
-    /// back past (its admission watermark is ahead of the batch's). The
-    /// fallible variant is [`BatchDag::try_rollback_with_threads`].
-    pub fn rollback(&mut self, sp: BatchSavepoint) {
-        self.rollback_with_threads(sp, MqoConfig::default().threads)
-    }
-
-    /// [`BatchDag::rollback`] with an explicit thread count for the
-    /// rebuild's expansion fixpoint.
-    pub fn rollback_with_threads(&mut self, sp: BatchSavepoint, threads: usize) {
-        self.try_rollback_with_threads(sp, threads)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`BatchDag::rollback_with_threads`]: rejects savepoints
-    /// from another batch and savepoints the batch was already rolled back
-    /// past as [`MqoError::StaleSavepoint`] without touching any state.
-    /// (Rolling back to an *older* savepoint of this batch's lineage is
-    /// fine and skips intermediate ones — those intermediates then become
-    /// stale.)
-    pub fn try_rollback_with_threads(
-        &mut self,
-        sp: BatchSavepoint,
-        threads: usize,
-    ) -> Result<(), MqoError> {
+    /// Rejects savepoints from another batch and savepoints the batch was
+    /// already rolled back past as [`MqoError::StaleSavepoint`] without
+    /// touching any state. (Rolling back to an *older* savepoint of this
+    /// batch's lineage is fine and skips intermediate ones — those
+    /// intermediates then become stale.)
+    pub(crate) fn rollback(&mut self, sp: BatchSavepoint, threads: usize) -> Result<(), MqoError> {
         if sp.batch_uid != self.uid || sp.next_ticket > self.next_ticket {
             return Err(MqoError::StaleSavepoint);
         }
         self.entries = sp.entries;
-        self.universe = sp.universe;
         self.next_ticket = sp.next_ticket;
         self.rebuild_from_entries(threads);
         Ok(())
@@ -633,9 +494,10 @@ fn find_shareable(memo: &Memo, root: GroupId) -> Vec<GroupId> {
 /// fingerprints of its member expressions, and an expression's covers its
 /// operator and child-group fingerprints. Invariant under group-id
 /// renumbering — two memo states interning the same logical DAG (an
-/// evolved batch and a fresh rebuild of the same queries) assign equal
-/// fingerprints — which is what keys universe slots across evolutions.
-/// `order` is the memo's topological order ([`TopoView::order`]).
+/// admission-grown batch and a fresh build of the same queries) assign
+/// equal fingerprints — which is what keys the serving layer's
+/// materialization cache across evolutions. `order` is the memo's
+/// topological order ([`TopoView::order`]).
 fn group_fingerprints(memo: &Memo, order: &[GroupId], groups: &[GroupId]) -> Vec<u64> {
     let mut fp = vec![0u64; memo.n_group_slots()];
     let mut expr_fps: Vec<u64> = Vec::new();
@@ -658,19 +520,6 @@ fn group_fingerprints(memo: &Memo, order: &[GroupId], groups: &[GroupId]) -> Vec
         .iter()
         .map(|&g| fp[memo.find(g).0 as usize])
         .collect()
-}
-
-/// Dense canonical-group-slot → universe-element map behind
-/// [`BatchDag::shareable_index`] (`u32::MAX` = not shareable). Replaces
-/// the pre-evolution binary search, which assumed the universe stays
-/// sorted by group id — stable-slot order after an evolution commit is
-/// not.
-fn build_elem_of_group(memo: &Memo, shareable: &[GroupId]) -> Vec<u32> {
-    let mut map = vec![u32::MAX; memo.n_group_slots()];
-    for (i, &g) in shareable.iter().enumerate() {
-        map[g.0 as usize] = i as u32;
-    }
-    map
 }
 
 #[cfg(test)]
@@ -859,23 +708,15 @@ mod tests {
         let base = example1_queries(&mut ctx2);
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
-        let t = evolved.add_query_with_threads(&q3, 1);
+        let t = evolved.add_query(&q3, 1);
         assert!(evolved.is_live(t));
         assert_eq!(evolved.live_queries(), 3);
         assert_equivalent(&evolved, &fresh, "add q3");
-        // Stable slots: the base batch's universe elements keep their
-        // element indices after the add (new elements only append).
-        let base_universe = {
-            let mut c = ctx();
-            let q = example1_queries(&mut c);
-            BatchDag::build(c, &q, &RuleSet::default())
-                .shareable()
-                .to_vec()
-        };
-        assert_eq!(
-            &evolved.shareable()[..base_universe.len()],
-            &base_universe[..],
-            "pre-existing universe elements must keep their indices"
+        // The universe is the memo's shareable set, ascending by group id,
+        // after an admission as after a build.
+        assert!(
+            evolved.shareable().windows(2).all(|w| w[0] < w[1]),
+            "the universe must be strictly ascending after an admission"
         );
     }
 
@@ -889,11 +730,14 @@ mod tests {
         let base = example1_queries(&mut ctx2);
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
-        let t = evolved.add_query_with_threads(&q3, 1);
-        evolved.retire_query_with_threads(t, 1);
+        let t = evolved.add_query(&q3, 1);
+        evolved.retire_query(t, 1).unwrap();
         assert!(!evolved.is_live(t));
         assert_eq!(evolved.live_queries(), 2);
         assert_equivalent(&evolved, &fresh, "add+retire q3");
+        // A retire rebuilds the survivors: the universe is the fresh
+        // build's, element for element.
+        assert_eq!(evolved.shareable(), fresh.shareable());
     }
 
     #[test]
@@ -909,11 +753,12 @@ mod tests {
         let base = example1_queries(&mut ctx2);
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
-        evolved.add_query_with_threads(&q3, 1);
+        evolved.add_query(&q3, 1);
         // Ticket 0 is an initial-build entry.
-        evolved.retire_query_with_threads(QueryTicket(0), 1);
+        evolved.retire_query(QueryTicket(0), 1).unwrap();
         assert_eq!(evolved.live_queries(), 2);
         assert_equivalent(&evolved, &fresh, "retire initial q1");
+        assert_eq!(evolved.shareable(), fresh.shareable());
     }
 
     #[test]
@@ -926,41 +771,47 @@ mod tests {
         let base = example1_queries(&mut ctx2);
         let q3 = third_query(&mut ctx2);
         let mut evolved = BatchDag::build_with_threads(ctx2, &base, &RuleSet::default(), 1);
-        let shareable_before = evolved.shareable().to_vec();
         let sp = evolved.savepoint();
-        let t = evolved.add_query_with_threads(&q3, 1);
+        let t = evolved.add_query(&q3, 1);
         assert_eq!(evolved.live_queries(), 3);
-        evolved.rollback_with_threads(sp, 1);
+        evolved.rollback(sp, 1).unwrap();
         assert_eq!(evolved.live_queries(), 2);
         assert!(!evolved.is_live(t));
-        assert_eq!(evolved.shareable(), &shareable_before[..]);
+        assert_eq!(evolved.shareable(), fresh.shareable());
         assert_equivalent(&evolved, &fresh, "rollback of speculative add");
 
         // Add-after-rollback replay: the same admission commits cleanly.
-        let t2 = evolved.add_query_with_threads(&q3, 1);
+        let t2 = evolved.add_query(&q3, 1);
         assert!(evolved.is_live(t2));
         assert_eq!(evolved.live_queries(), 3);
         evolved.memo().check_consistency();
     }
 
     #[test]
-    #[should_panic(expected = "cannot retire the last live query")]
-    fn retiring_the_last_query_panics() {
+    fn retiring_the_last_query_is_rejected() {
         let mut ctx1 = ctx();
         let queries = example1_queries(&mut ctx1);
         let mut batch = BatchDag::build_with_threads(ctx1, &queries[..1], &RuleSet::default(), 1);
-        batch.retire_query_with_threads(QueryTicket(0), 1);
+        let t = QueryTicket(0);
+        assert!(matches!(
+            batch.retire_query(t, 1),
+            Err(MqoError::LastLiveQuery(r)) if r == t
+        ));
+        assert!(batch.is_live(t));
     }
 
     #[test]
-    #[should_panic(expected = "already retired")]
-    fn retiring_a_dead_ticket_panics() {
+    fn retiring_a_dead_ticket_is_rejected() {
         let mut ctx1 = ctx();
         let mut queries = example1_queries(&mut ctx1);
         queries.push(third_query(&mut ctx1));
         let mut batch = BatchDag::build_with_threads(ctx1, &queries, &RuleSet::default(), 1);
         let t = QueryTicket(0);
-        batch.retire_query_with_threads(t, 1);
-        batch.retire_query_with_threads(t, 1);
+        batch.retire_query(t, 1).unwrap();
+        assert!(matches!(
+            batch.retire_query(t, 1),
+            Err(MqoError::TicketRetired(r)) if r == t
+        ));
+        assert_eq!(batch.live_queries(), 2);
     }
 }

@@ -14,8 +14,8 @@
 //! - [`FaultSite::OracleEval`] — entry of
 //!   [`crate::engine::BestCostEngine::bc`] / `bc_many` (an oracle
 //!   evaluation blowing up mid-round);
-//! - [`FaultSite::AdmissionPrecommit`] — inside
-//!   [`crate::batch::BatchDag::add_query_with_threads`], after the
+//! - [`FaultSite::AdmissionPrecommit`] — inside a batch admission
+//!   ([`crate::session::OptimizedBatch::add_query`]), after the
 //!   seeded expansion but *before* the evolution commit
 //!   (the window the serving layer's round rollback must cover);
 //! - [`FaultSite::ServeRound`] — entry of the serving layer's queue
@@ -30,8 +30,8 @@ use std::cell::Cell;
 pub enum FaultSite {
     /// `BestCostEngine::bc` / `bc_many` entry.
     OracleEval,
-    /// `BatchDag::add_query_with_threads`, between the seeded expansion
-    /// and the evolution commit.
+    /// `BatchDag::add_query`, between the seeded expansion and the
+    /// evolution commit.
     AdmissionPrecommit,
     /// `MqoService` drain entry, under the writer lock, pre-mutation.
     ServeRound,

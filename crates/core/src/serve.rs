@@ -36,7 +36,7 @@
 //!
 //! - **re-baselining** — when the evolution history (provenance entries,
 //!   live plus retired) exceeds [`ServeConfig::history_watermark`], the
-//!   batch drops its retired entries and dead universe slots, so history
+//!   batch drops its retired entries, so history
 //!   size depends only on the live query count, not on how many
 //!   add/retire cycles the service has absorbed. Compaction never touches
 //!   the memo: admissions extend it incrementally and every retire
@@ -62,11 +62,12 @@
 //!   bad client cannot fail a round shared with healthy submitters.
 //! - **Rounds are transactions.** The draining writer takes a
 //!   [`crate::batch::BatchSavepoint`] (a copy of the provenance entries
-//!   and universe slots) before each round and wraps the round's
+//!   and the ticket watermark) before each round and wraps the round's
 //!   admissions in [`std::panic::catch_unwind`]. A panic anywhere inside
 //!   (an oracle blowing up mid-evaluation, an admission dying between
 //!   memo expansion and commit) rolls the batch back to the round's entry
-//!   savepoint by rebuilding its live queries; only that round's
+//!   savepoint by rebuilding its live queries, which leaves it a fresh
+//!   build of them; only that round's
 //!   submitters observe it, each as
 //!   [`MqoError::RoundFailed`] in its slot. The previously published
 //!   snapshot stays live, and subsequent rounds proceed as if the failed

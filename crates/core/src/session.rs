@@ -184,10 +184,14 @@ impl SessionBuilder {
 /// returns a [`QueryTicket`]; [`OptimizedBatch::retire_query`] removes one
 /// by rebuilding the survivors; [`OptimizedBatch::savepoint`] /
 /// [`OptimizedBatch::rollback`] bracket speculative what-if admissions.
-/// Every evolution step leaves the batch exactly equivalent to a fresh
-/// [`SessionBuilder::build`] over the surviving queries — same live DAG,
-/// same shareable universe (modulo tombstoned slots), identical plans and
-/// `bestCost` values. Evolution takes `&mut self`; `run*` calls observe a
+/// After a retire or rollback the batch *is* a fresh
+/// [`SessionBuilder::build`] of its surviving queries: the memo is rebuilt
+/// from their plans in ticket order, so group ids, the shareable universe
+/// (ascending by group id), the compiled arenas, the picks and every cost
+/// match bit for bit. After an admission the batch has the same live DAG
+/// and the same universe fingerprint set as a fresh build, but the grown
+/// memo numbers its groups in admission order, so universe order and float
+/// summation order can differ. Evolution takes `&mut self`; `run*` calls observe a
 /// consistent compiled snapshot because they run off an immutable
 /// [`EngineState`] published by [`OptimizedBatch::snapshot`] and
 /// revalidated against the memo's version counter.
@@ -323,9 +327,7 @@ impl OptimizedBatch {
         PlanValidator::new(self.batch.memo().ctx())
             .validate(&query)
             .map_err(|fault| MqoError::InvalidPlan { query: 0, fault })?;
-        Ok(self
-            .batch
-            .add_query_with_threads(&query, self.config.threads))
+        Ok(self.batch.add_query(&query, self.config.threads))
     }
 
     /// Retires the query behind `ticket` from the live batch, reclaiming
@@ -338,8 +340,8 @@ impl OptimizedBatch {
     /// query — a batch is never empty, mirroring [`SessionBuilder::build`].
     /// The fallible variant is [`OptimizedBatch::try_retire_query`].
     pub fn retire_query(&mut self, ticket: QueryTicket) {
-        self.batch
-            .retire_query_with_threads(ticket, self.config.threads)
+        self.try_retire_query(ticket)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`OptimizedBatch::retire_query`]: an unknown or
@@ -368,14 +370,13 @@ impl OptimizedBatch {
     /// assert!(batch.batch().is_live(ticket));
     /// ```
     pub fn try_retire_query(&mut self, ticket: QueryTicket) -> Result<(), MqoError> {
-        self.batch
-            .try_retire_query_with_threads(ticket, self.config.threads)
+        self.batch.retire_query(ticket, self.config.threads)
     }
 
     /// Snapshots the batch for a later [`OptimizedBatch::rollback`] —
     /// bracket speculative `add_query`/`retire_query` sequences (what-if
-    /// admission probes). Cheap: it copies the provenance entries and
-    /// universe slots, never the memo.
+    /// admission probes). Cheap: it copies the provenance entries (whose
+    /// plans are shared pointers) and the ticket watermark, never the memo.
     pub fn savepoint(&self) -> BatchSavepoint {
         self.batch.savepoint()
     }
@@ -391,7 +392,7 @@ impl OptimizedBatch {
     /// If `sp` is stale (from another batch, or already rolled back past);
     /// the fallible variant is [`OptimizedBatch::try_rollback`].
     pub fn rollback(&mut self, sp: BatchSavepoint) {
-        self.batch.rollback_with_threads(sp, self.config.threads)
+        self.try_rollback(sp).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible [`OptimizedBatch::rollback`]: a savepoint from another
@@ -421,8 +422,7 @@ impl OptimizedBatch {
     /// ));
     /// ```
     pub fn try_rollback(&mut self, sp: BatchSavepoint) -> Result<(), MqoError> {
-        self.batch
-            .try_rollback_with_threads(sp, self.config.threads)
+        self.batch.rollback(sp, self.config.threads)
     }
 
     /// Tickets of the currently live queries, in admission order.
@@ -437,7 +437,7 @@ impl OptimizedBatch {
         self.batch.history_len()
     }
 
-    /// Drops retired provenance entries and dead universe slots, so
+    /// Drops retired provenance entries, so
     /// [`OptimizedBatch::history_len`] afterwards depends only on the live
     /// query count. The memo is left as it is (it never re-expands), and
     /// outstanding tickets stay valid.

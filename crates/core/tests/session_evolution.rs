@@ -3,20 +3,26 @@
 //! [`OptimizedBatch`] must leave it equivalent to a fresh
 //! `Session::build()` over the surviving queries — same live
 //! expression/group counts, same shareable universe (compared as the
-//! id-free fingerprint *set*, since an evolved batch keeps stable slot
-//! order and may carry tombstoned slots), identical `bestCost` values, and
-//! identical extracted plans (compared with materialized-group ids
-//! normalized away, as the two memos number groups differently).
+//! id-free fingerprint *set*, since an admission-grown memo numbers its
+//! groups in admission order), identical `bestCost` values, and identical
+//! extracted plans (compared with materialized-group ids normalized away).
+//! After a retire or a rollback the batch is rebuilt from its survivors,
+//! so there the comparison is bitwise: the universe in element order, the
+//! chosen set and every cost bit.
 //!
-//! Sequences are swept over the TPCD batches BQ3/BQ4 and over seeded
-//! random chain workloads (`mqo_tpcd::random`), under both the serial and
-//! the 4-worker configuration — `scripts/verify.sh` runs the whole file
-//! under `MQO_THREADS=1` and `MQO_THREADS=4` on every tier-1 pass.
+//! Sequences are swept over the TPCD batches BQ3/BQ4, over seeded random
+//! chain workloads (`mqo_tpcd::random`) and over `serve-churn`-shaped
+//! chain tenants, under both the serial and the 4-worker configuration —
+//! `scripts/verify.sh` runs the whole file under `MQO_THREADS=1` and
+//! `MQO_THREADS=4` on every tier-1 pass.
+
+use std::collections::VecDeque;
 
 use mqo_core::session::Session;
 use mqo_core::strategies::Strategy;
 use mqo_core::{OptimizedBatch, QueryTicket};
 use mqo_submod::prng::Prng;
+use mqo_tpcd::{Shape, WorkloadSpec};
 use mqo_volcano::cost::DiskCostModel;
 use mqo_volcano::{DagContext, PlanNode};
 
@@ -210,7 +216,7 @@ fn evolved_random_workloads_match_fresh_builds() {
 
 /// Retiring a *fully shared* query — every expression it contributed is
 /// also reachable from a surviving query — must keep the whole universe
-/// alive (no slot tombstoned) and stay equivalent to the fresh build.
+/// and stay equivalent to the fresh build.
 #[test]
 fn retiring_a_fully_shared_query_keeps_the_universe() {
     let w = mqo_tpcd::batched(4, 1.0);
@@ -233,8 +239,7 @@ fn retiring_a_fully_shared_query_keeps_the_universe() {
 
 /// Rollback then re-add: the rollback's rebuild must leave the memo in a
 /// state where the *same* query can be admitted again and land on the
-/// same equivalence classes (fingerprint-stable slots are revived, not
-/// duplicated).
+/// same equivalence classes.
 #[test]
 fn add_after_rollback_replays_cleanly() {
     let w = mqo_tpcd::batched(3, 1.0);
@@ -264,7 +269,6 @@ fn add_after_rollback_replays_cleanly() {
 }
 
 /// A long alternating add/retire sequence: exercises repeated rebuilds,
-/// tombstone revival, and epoch growth far past any small counter width,
 /// ending equivalent to a fresh build.
 #[test]
 fn long_evolution_sequence_stays_equivalent() {
@@ -294,4 +298,138 @@ fn long_evolution_sequence_stays_equivalent() {
     assert_eq!(w2.queries.len(), pool.len());
     let fresh = build(w2.ctx, &survivors, 1);
     assert_equivalent(&batch, &fresh, "40-round add/retire rotation");
+}
+
+/// Asserts the universe is strictly ascending by group id — the memo's
+/// shareable set as every commit recounts it.
+fn assert_ascending(batch: &OptimizedBatch, label: &str) {
+    let universe = batch.batch().shareable();
+    assert!(
+        universe.windows(2).all(|w| w[0] < w[1]),
+        "{label}: the universe is not strictly ascending"
+    );
+}
+
+/// Asserts that `batch` is bit for bit a fresh build of `survivors`: the
+/// universe in element order, MarginalGreedy's chosen set, its
+/// `total_cost` bits and its extracted plan's `total_cost` bits.
+fn assert_fresh(
+    batch: &OptimizedBatch,
+    make: &impl Fn() -> (DagContext, Vec<PlanNode>),
+    survivors: &[PlanNode],
+    threads: usize,
+    label: &str,
+) {
+    let fresh = build(make().0, survivors, threads);
+    assert_eq!(
+        batch.batch().shareable(),
+        fresh.batch().shareable(),
+        "{label}: universe differs from a fresh build of the survivors"
+    );
+    let (e, f) = (
+        batch.run(Strategy::MarginalGreedy),
+        fresh.run(Strategy::MarginalGreedy),
+    );
+    assert_eq!(
+        e.materialized, f.materialized,
+        "{label}: chosen sets differ"
+    );
+    assert_eq!(
+        e.total_cost.to_bits(),
+        f.total_cost.to_bits(),
+        "{label}: total_cost {} vs fresh {}",
+        e.total_cost,
+        f.total_cost
+    );
+    assert_eq!(
+        e.plan.total_cost.to_bits(),
+        f.plan.total_cost.to_bits(),
+        "{label}: plan total_cost {} vs fresh {}",
+        e.plan.total_cost,
+        f.plan.total_cost
+    );
+}
+
+/// A `serve-churn`-style write history on `base` initial queries: admit
+/// `arrivals` pool queries, then `rounds` times roll back a speculative
+/// admission, retire the oldest arrival (its plan returns to the pool)
+/// and admit the next pool query. After every retire and rollback the
+/// batch must be bitwise a fresh build of its survivors, and after every
+/// commit its universe must be ascending.
+fn churn_sequence(
+    make: impl Fn() -> (DagContext, Vec<PlanNode>),
+    base: usize,
+    arrivals: usize,
+    rounds: usize,
+    threads: usize,
+    label: &str,
+) {
+    let (ctx, queries) = make();
+    let mut batch = build(ctx, &queries[..base], threads);
+    assert_ascending(&batch, label);
+    let mut pool: VecDeque<PlanNode> = queries[base..].iter().cloned().collect();
+    let mut live: VecDeque<(QueryTicket, PlanNode)> = VecDeque::new();
+    let survivors = |live: &VecDeque<(QueryTicket, PlanNode)>| {
+        let mut v = queries[..base].to_vec();
+        v.extend(live.iter().map(|(_, q)| q.clone()));
+        v
+    };
+    for i in 0..arrivals {
+        let q = pool.pop_front().expect("pool query");
+        live.push_back((batch.add_query(q.clone()), q));
+        assert_ascending(&batch, &format!("{label} add {i}"));
+    }
+    for round in 0..rounds {
+        let sp = batch.savepoint();
+        batch.add_query(pool[0].clone());
+        assert_ascending(&batch, &format!("{label} speculative add {round}"));
+        batch.rollback(sp);
+        let step = format!("{label} rollback {round}");
+        assert_ascending(&batch, &step);
+        assert_fresh(&batch, &make, &survivors(&live), threads, &step);
+
+        let (t, q) = live.pop_front().expect("live arrival");
+        batch.retire_query(t);
+        pool.push_back(q);
+        let step = format!("{label} retire {round}");
+        assert_ascending(&batch, &step);
+        assert_fresh(&batch, &make, &survivors(&live), threads, &step);
+
+        let q = pool.pop_front().expect("pool query");
+        live.push_back((batch.add_query(q.clone()), q));
+        assert_ascending(&batch, &format!("{label} add {}", arrivals + round));
+    }
+}
+
+/// A retired or rolled-back batch is a fresh build of its survivors, bit
+/// for bit, whatever admissions came before: on BQ3, BQ4 and
+/// `serve-churn`-shaped chain tenants (48 tables, 24 base queries, an
+/// 8-arrival rotation) at seeds 3, 6, 7 and 1009.
+#[test]
+fn retire_and_rollback_are_fresh_builds_of_the_survivors() {
+    for threads in THREADS {
+        for i in [3usize, 4] {
+            let make = || {
+                let w = mqo_tpcd::batched(i, 1.0);
+                (w.ctx, w.queries)
+            };
+            churn_sequence(make, 2, 2, 3, threads, &format!("BQ{i}@{threads}"));
+        }
+        for seed in [3u64, 6, 7, 1009] {
+            let make = || {
+                let w = mqo_tpcd::generate(&WorkloadSpec {
+                    shape: Shape::Chain,
+                    tables: 48,
+                    queries: 24 + 40,
+                    span: (6, 9),
+                    overlap: 0.3,
+                    select_prob: 0.35,
+                    base_rows: 500.0,
+                    seed,
+                });
+                (w.ctx, w.queries)
+            };
+            churn_sequence(make, 24, 8, 3, threads, &format!("churn {seed}@{threads}"));
+        }
+    }
 }

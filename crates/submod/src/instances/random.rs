@@ -5,7 +5,6 @@
 
 use crate::instances::coverage::WeightedCoverage;
 use crate::instances::cut::{CutFunction, CutMinusCost};
-use crate::instances::profitted::ProfittedMaxCoverage;
 use crate::prng::Prng;
 
 /// Parameters for random coverage-minus-cost instances.
@@ -113,17 +112,6 @@ pub fn random_cut_minus_cost(n: usize, edge_prob: f64, seed: u64) -> CutMinusCos
     }
     let costs = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
     CutFunction::new(n, &edges).with_vertex_costs(costs)
-}
-
-/// A random Profitted Max Coverage instance with a planted covering
-/// collection (optimal value 1 by the completeness argument).
-pub fn random_profitted(
-    blocks: usize,
-    block_size: usize,
-    redundant: usize,
-    gamma: f64,
-) -> ProfittedMaxCoverage {
-    ProfittedMaxCoverage::hard_instance(blocks, block_size, redundant, gamma)
 }
 
 #[cfg(test)]
