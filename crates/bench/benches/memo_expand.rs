@@ -1,15 +1,16 @@
 //! Benchmark of the memo-expansion pipeline: end-to-end `BatchDag::build`
-//! wall time (query insertion + rule fixpoint + shareable-universe scan)
-//! on the TPCD batched workloads. Each entry also records the live
-//! expressions and groups produced, so throughput is `exprs / median`.
+//! wall time (one admission per query — insertion, seeded rule fixpoint
+//! and re-rooting — then the shareable-universe scan) on the TPCD batched
+//! workloads. Each entry also records the live expressions and groups
+//! produced, so throughput is `exprs / median`.
 //!
 //! Series:
 //!
-//! * `build@t` for `t ∈ {1, 2, 4}` — `BatchDag::build_with_threads`: the
-//!   frontier fixpoint's candidate generation fanned out over `t` scoped
-//!   worker threads (the commit phase is always serial and deterministic,
-//!   so the resulting memo is bit-identical at every `t`; see
-//!   `crates/volcano/tests/memo_differential.rs`).
+//! * `build@t` for `t ∈ {1, 2, 4}` — `BatchDag::build_with_threads`: each
+//!   admission's fixpoint fans its candidate generation out over `t`
+//!   scoped worker threads (the commit phase is always serial and
+//!   deterministic, so the resulting memo is bit-identical at every `t`;
+//!   see `crates/volcano/tests/memo_differential.rs`).
 //!
 //! Records through `mqo_bench::timing`: `MQO_BENCH_SAMPLES` sets the
 //! sample count and `MQO_BENCH_JSON=<path>` writes the record

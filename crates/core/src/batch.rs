@@ -16,14 +16,17 @@
 //! runtime fingerprint assertion). The batch is *evolvable*: admissions
 //! and retires grow and shrink the live batch, through
 //! [`crate::session::OptimizedBatch`] and [`crate::serve::MqoService`].
-//! The memo is append-only: an admission extends it through the seeded
-//! expansion fixpoint, and a retire or rollback rebuilds it from the
-//! surviving queries' plans in ticket order. Either way the commit
-//! recounts the shareable universe from the memo as it stands and swaps in
-//! a fresh topological view. The universe is exactly the memo's shareable
-//! set, ascending by group id, so a retired or rolled-back batch is a
-//! fresh build of its survivors: same group ids, same universe order, same
-//! compiled arenas.
+//!
+//! A batch is the fold of its admissions. One admission step inserts a
+//! query's plan, expands the memo to fixpoint seeded with the freshly
+//! interned expressions, and re-roots the batch. A build folds that step
+//! over its queries; an admission runs it once on the live memo; a retire
+//! or rollback resets the memo and folds it over the surviving queries in
+//! ticket order. Every commit then recounts the shareable universe from
+//! the memo as it stands and swaps in a fresh topological view. So after
+//! any history of admissions, retires and rollbacks the batch is bit for
+//! bit a fresh build of its live queries in ticket order: same group ids,
+//! same universe order (ascending by group id), same compiled arenas.
 
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,8 +36,8 @@ use mqo_volcano::cost::CostModel;
 use mqo_volcano::fphash::FpHasher;
 use mqo_volcano::logical::LogicalOp;
 use mqo_volcano::memo::{GroupId, Memo, TopoView};
-use mqo_volcano::rules::{expand_seeded, expand_with, ExpansionStats, RuleSet};
-use mqo_volcano::{DagContext, PlanNode};
+use mqo_volcano::rules::{expand_seeded, ExpansionStats, RuleSet};
+use mqo_volcano::{DagContext, ExprId, PlanNode};
 
 use crate::config::MqoConfig;
 use crate::engine::{EngineArenas, EngineState};
@@ -88,7 +91,8 @@ pub struct BatchDag {
     /// group id; index order is the universe element order of the
     /// set-function layer.
     shareable: Vec<GroupId>,
-    /// Cumulative expansion statistics (initial build plus evolutions).
+    /// Expansion statistics of the admissions that built the memo; see
+    /// [`BatchDag::expansion`].
     expansion: ExpansionStats,
     /// Lazily computed dense topological view of the current memo state;
     /// evolution commits swap in a fresh cell, so engines holding the old
@@ -102,10 +106,11 @@ pub struct BatchDag {
 }
 
 impl BatchDag {
-    /// Builds, expands, and roots the combined DAG for `queries`. Candidate
-    /// generation in the expansion fixpoint uses
-    /// [`MqoConfig::default`]'s thread count (the `MQO_THREADS`
-    /// environment default); see [`BatchDag::build_with_threads`].
+    /// Builds, expands, and roots the combined DAG for `queries`: the fold
+    /// of one admission per query, in order. Candidate generation in the
+    /// expansion fixpoint uses [`MqoConfig::default`]'s thread count (the
+    /// `MQO_THREADS` environment default); see
+    /// [`BatchDag::build_with_threads`].
     pub fn build(ctx: DagContext, queries: &[PlanNode], rules: &RuleSet) -> Self {
         Self::build_with_threads(ctx, queries, rules, MqoConfig::default().threads)
     }
@@ -114,19 +119,17 @@ impl BatchDag {
     /// expansion fixpoint's candidate-generation phase. The memo is
     /// bit-identical at every thread count (the commit phase is serial and
     /// deterministic); only the wall-clock changes.
+    ///
+    /// # Panics
+    ///
+    /// If `queries` is empty: a batch always has a query to root.
     pub fn build_with_threads(
         ctx: DagContext,
         queries: &[PlanNode],
         rules: &RuleSet,
         threads: usize,
     ) -> Self {
-        let mut memo = Memo::new(ctx);
-        for q in queries {
-            let root = memo.insert_plan(q);
-            memo.add_query_root(root);
-        }
-        let expansion = expand_with(&mut memo, rules, threads);
-        let root = memo.build_batch_root();
+        assert!(!queries.is_empty(), "a batch needs at least one query");
         let entries = queries
             .iter()
             .enumerate()
@@ -136,18 +139,20 @@ impl BatchDag {
                 live: true,
             })
             .collect();
-        BatchDag {
-            query_roots: memo.roots(),
-            shareable: find_shareable(&memo, root),
-            memo,
+        let mut batch = BatchDag {
+            memo: Memo::new(ctx),
             rules: *rules,
-            root,
+            root: GroupId(0),
+            query_roots: Vec::new(),
             entries,
             next_ticket: queries.len() as u32,
-            expansion,
+            shareable: Vec::new(),
+            expansion: ExpansionStats::default(),
             topo: OnceLock::new(),
             uid: NEXT_BATCH_UID.fetch_add(1, Ordering::Relaxed),
-        }
+        };
+        batch.rebuild_from_entries(threads);
+        batch
     }
 
     /// The expanded memo as of the last commit.
@@ -180,10 +185,9 @@ impl BatchDag {
     }
 
     /// Sorted structural fingerprints of the universe: the id-free identity
-    /// of the shareable ground set, comparable across independently built
-    /// batches (an admission-grown batch and a fresh build of its queries
-    /// agree here even where their group ids differ). Computed on demand;
-    /// differential-harness hook.
+    /// of the shareable ground set, comparable across batches whose group
+    /// ids differ (the same queries admitted in another order agree here).
+    /// Computed on demand; differential-harness hook.
     pub fn universe_fingerprints(&self) -> Vec<u64> {
         let mut fps = self.shareable_fingerprints();
         fps.sort_unstable();
@@ -217,7 +221,12 @@ impl BatchDag {
             .is_some_and(|i| self.entries[i].live)
     }
 
-    /// Expansion statistics of the build.
+    /// Expansion statistics of the memo as it stands. `exprs` and `groups`
+    /// count the live expressions and groups below the batch root (without
+    /// the root's one expression and group); `passes` and `candidates` sum
+    /// over the admissions that built the memo, one per live query. All
+    /// four are a function of the live queries in ticket order, whatever
+    /// the evolution history.
     pub fn expansion(&self) -> &ExpansionStats {
         &self.expansion
     }
@@ -267,10 +276,9 @@ impl BatchDag {
     }
 
     /// Structural fingerprints of the universe in element order (index `e`
-    /// fingerprints shareable element `e`), computed on demand. Unlike
-    /// [`BatchDag::universe_fingerprints`] this is *not* sorted: it keys
+    /// fingerprints shareable element `e`), computed on demand. They key
     /// per-element state (the serving layer's materialization cache)
-    /// across evolution commits.
+    /// across evolution commits, which change group ids.
     pub fn shareable_fingerprints(&self) -> Vec<u64> {
         group_fingerprints(&self.memo, self.topo_arc().order(), &self.shareable)
     }
@@ -296,21 +304,27 @@ impl BatchDag {
     // Evolution: add/retire queries on the live batch.
     // -----------------------------------------------------------------------
 
-    /// Admits a new query into the live batch without a full rebuild: the
-    /// plan is appended to the memo, the expansion fixpoint re-runs seeded
-    /// with only the freshly interned expressions, and the shareable
-    /// universe is recounted from the grown memo. `threads` sizes the
+    /// The one construction step: inserts `plan` into the memo, expands
+    /// to fixpoint seeded with only the freshly interned expressions, and
+    /// re-roots the batch. Build, admission, retire and rollback all fold
+    /// this step, so their memos agree bit for bit. `threads` sizes the
     /// expansion's candidate generation.
-    pub(crate) fn add_query(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
+    fn admit(&mut self, plan: &PlanNode, threads: usize) {
         let watermark = self.memo.exprs_allocated() as u32;
         let root = self.memo.insert_plan(plan);
         self.memo.add_query_root(root);
-        let seeds = (watermark..self.memo.exprs_allocated() as u32).map(mqo_volcano::ExprId);
+        let seeds = (watermark..self.memo.exprs_allocated() as u32).map(ExprId);
         let stats = expand_seeded(&mut self.memo, &self.rules, threads, seeds);
         self.root = self.memo.build_batch_root();
         self.expansion.passes += stats.passes;
         self.expansion.candidates += stats.candidates;
+    }
 
+    /// Admits a new query into the live batch with one admission step on
+    /// the live memo, no rebuild. The batch is then a fresh build of its
+    /// live queries in ticket order.
+    pub(crate) fn add_query(&mut self, plan: &PlanNode, threads: usize) -> QueryTicket {
+        self.admit(plan, threads);
         let ticket = QueryTicket(self.next_ticket);
         self.next_ticket += 1;
         self.entries.push(QueryEntry {
@@ -360,19 +374,20 @@ impl BatchDag {
         Ok(())
     }
 
-    /// Rebuilds the memo from the surviving entries' plans in ticket order
-    /// (exactly the initial-build path), then commits. The one path for
-    /// retire and rollback.
+    /// Resets the memo and folds the admission step over the live entries
+    /// in ticket order, then commits: the build, retire and rollback path.
     fn rebuild_from_entries(&mut self, threads: usize) {
         self.memo.reset();
-        for entry in self.entries.iter().filter(|e| e.live) {
-            let root = self.memo.insert_plan(&entry.plan);
-            self.memo.add_query_root(root);
+        self.expansion = ExpansionStats::default();
+        let live: Vec<Arc<PlanNode>> = self
+            .entries
+            .iter()
+            .filter(|e| e.live)
+            .map(|e| Arc::clone(&e.plan))
+            .collect();
+        for plan in &live {
+            self.admit(plan, threads);
         }
-        let stats = expand_with(&mut self.memo, &self.rules, threads);
-        self.expansion.passes += stats.passes;
-        self.expansion.candidates += stats.candidates;
-        self.root = self.memo.build_batch_root();
         self.commit_evolution();
     }
 
@@ -381,8 +396,10 @@ impl BatchDag {
     /// fresh topo cell so `run*` consumers see a consistent new snapshot.
     fn commit_evolution(&mut self) {
         self.query_roots = self.memo.roots();
-        self.expansion.exprs = self.memo.n_exprs();
-        self.expansion.groups = self.memo.n_groups();
+        // Below the batch root: its one expression and group are not
+        // counted.
+        self.expansion.exprs = self.memo.n_exprs() - 1;
+        self.expansion.groups = self.memo.n_groups() - 1;
         // Swap the topo cell: engines holding the old Arc keep a frozen
         // consistent snapshot; new compiles see the evolved memo.
         self.topo = OnceLock::new();
@@ -493,11 +510,10 @@ fn find_shareable(memo: &Memo, root: GroupId) -> Vec<GroupId> {
 /// live contents in which a group's fingerprint covers the sorted
 /// fingerprints of its member expressions, and an expression's covers its
 /// operator and child-group fingerprints. Invariant under group-id
-/// renumbering — two memo states interning the same logical DAG (an
-/// admission-grown batch and a fresh build of the same queries) assign
-/// equal fingerprints — which is what keys the serving layer's
-/// materialization cache across evolutions. `order` is the memo's
-/// topological order ([`TopoView::order`]).
+/// renumbering — two memo states interning the same logical DAG assign
+/// equal fingerprints, however their groups are numbered — which is what
+/// keys the serving layer's materialization cache across evolution
+/// commits. `order` is the memo's topological order ([`TopoView::order`]).
 fn group_fingerprints(memo: &Memo, order: &[GroupId], groups: &[GroupId]) -> Vec<u64> {
     let mut fp = vec![0u64; memo.n_group_slots()];
     let mut expr_fps: Vec<u64> = Vec::new();
@@ -664,36 +680,30 @@ mod tests {
         PlanNode::scan(c).join(PlanNode::scan(d), p_cd)
     }
 
-    /// Sorted live-universe fingerprints: the id-free identity of the
-    /// ground set, comparable across independently built memos.
-    fn universe_fps(batch: &BatchDag) -> Vec<u64> {
-        batch.universe_fingerprints()
-    }
-
-    /// Evolved and fresh batches over the same surviving queries must
-    /// agree on everything id-free: live counts and the universe
-    /// fingerprint set.
+    /// An evolved batch is bit for bit the fresh build of its survivors:
+    /// same memo counts, query roots, universe and expansion counts.
     fn assert_equivalent(evolved: &BatchDag, fresh: &BatchDag, label: &str) {
         evolved.memo().check_consistency();
         assert_eq!(
-            evolved.memo().n_exprs(),
-            fresh.memo().n_exprs(),
-            "{label}: live expression counts diverge"
+            (evolved.memo().n_exprs(), evolved.memo().n_groups()),
+            (fresh.memo().n_exprs(), fresh.memo().n_groups()),
+            "{label}: live counts diverge"
         );
         assert_eq!(
-            evolved.memo().n_groups(),
-            fresh.memo().n_groups(),
-            "{label}: live group counts diverge"
+            evolved.query_roots(),
+            fresh.query_roots(),
+            "{label}: query roots diverge"
+        );
+        assert_eq!(evolved.root(), fresh.root(), "{label}: batch root");
+        assert_eq!(
+            evolved.shareable(),
+            fresh.shareable(),
+            "{label}: universe diverges"
         );
         assert_eq!(
-            evolved.query_roots().len(),
-            fresh.query_roots().len(),
-            "{label}: query root counts diverge"
-        );
-        assert_eq!(
-            universe_fps(evolved),
-            universe_fps(fresh),
-            "{label}: universe fingerprint sets diverge"
+            evolved.expansion(),
+            fresh.expansion(),
+            "{label}: expansion counts diverge"
         );
     }
 
@@ -712,12 +722,6 @@ mod tests {
         assert!(evolved.is_live(t));
         assert_eq!(evolved.live_queries(), 3);
         assert_equivalent(&evolved, &fresh, "add q3");
-        // The universe is the memo's shareable set, ascending by group id,
-        // after an admission as after a build.
-        assert!(
-            evolved.shareable().windows(2).all(|w| w[0] < w[1]),
-            "the universe must be strictly ascending after an admission"
-        );
     }
 
     #[test]
@@ -735,9 +739,6 @@ mod tests {
         assert!(!evolved.is_live(t));
         assert_eq!(evolved.live_queries(), 2);
         assert_equivalent(&evolved, &fresh, "add+retire q3");
-        // A retire rebuilds the survivors: the universe is the fresh
-        // build's, element for element.
-        assert_eq!(evolved.shareable(), fresh.shareable());
     }
 
     #[test]
@@ -758,7 +759,6 @@ mod tests {
         evolved.retire_query(QueryTicket(0), 1).unwrap();
         assert_eq!(evolved.live_queries(), 2);
         assert_equivalent(&evolved, &fresh, "retire initial q1");
-        assert_eq!(evolved.shareable(), fresh.shareable());
     }
 
     #[test]
@@ -777,7 +777,6 @@ mod tests {
         evolved.rollback(sp, 1).unwrap();
         assert_eq!(evolved.live_queries(), 2);
         assert!(!evolved.is_live(t));
-        assert_eq!(evolved.shareable(), fresh.shareable());
         assert_equivalent(&evolved, &fresh, "rollback of speculative add");
 
         // Add-after-rollback replay: the same admission commits cleanly.
@@ -813,5 +812,44 @@ mod tests {
             Err(MqoError::TicketRetired(r)) if r == t
         ));
         assert_eq!(batch.live_queries(), 2);
+    }
+
+    /// `expansion()` counts the same on every path to the same live
+    /// queries: a fresh build of two BQ3 queries, a retire down to them
+    /// and an admission up to them. The counts exclude the batch root, as
+    /// a plain expansion of the two queries does.
+    #[test]
+    fn expansion_counts_agree_on_every_path() {
+        let make = || {
+            let w = mqo_tpcd::batched(3, 1.0);
+            (w.ctx, w.queries)
+        };
+        let rules = RuleSet::default();
+        let (ctx, queries) = make();
+        let fresh = BatchDag::build_with_threads(ctx, &queries[..2], &rules, 1);
+
+        let (ctx, queries) = make();
+        let mut retired = BatchDag::build_with_threads(ctx, &queries[..3], &rules, 1);
+        retired.retire_query(QueryTicket(2), 1).unwrap();
+
+        let (ctx, queries) = make();
+        let mut admitted = BatchDag::build_with_threads(ctx, &queries[..1], &rules, 1);
+        admitted.add_query(&queries[1], 1);
+
+        let (ctx, queries) = make();
+        let mut memo = Memo::new(ctx);
+        for q in &queries[..2] {
+            let root = memo.insert_plan(q);
+            memo.add_query_root(root);
+        }
+        let plain = mqo_volcano::rules::expand(&mut memo, &rules);
+        for (batch, label) in [(&retired, "retire"), (&admitted, "admission")] {
+            assert_eq!(batch.expansion(), fresh.expansion(), "{label}");
+        }
+        assert_eq!(
+            (fresh.expansion().exprs, fresh.expansion().groups),
+            (plain.exprs, plain.groups),
+            "a build counts what a plain expansion of its queries counts"
+        );
     }
 }

@@ -119,10 +119,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Inserts the queries into one memo, expands the combined DAG to
-    /// fixpoint (candidate generation fanned out over
-    /// [`MqoConfig::threads`] workers), computes the shareable universe,
-    /// and returns the ready-to-run batch.
+    /// Admits the queries into one memo in order, each admission expanding
+    /// the combined DAG to fixpoint from the query's new expressions
+    /// (candidate generation fanned out over [`MqoConfig::threads`]
+    /// workers), computes the shareable universe, and returns the
+    /// ready-to-run batch.
     ///
     /// # Panics
     ///
@@ -184,17 +185,16 @@ impl SessionBuilder {
 /// returns a [`QueryTicket`]; [`OptimizedBatch::retire_query`] removes one
 /// by rebuilding the survivors; [`OptimizedBatch::savepoint`] /
 /// [`OptimizedBatch::rollback`] bracket speculative what-if admissions.
-/// After a retire or rollback the batch *is* a fresh
-/// [`SessionBuilder::build`] of its surviving queries: the memo is rebuilt
-/// from their plans in ticket order, so group ids, the shareable universe
-/// (ascending by group id), the compiled arenas, the picks and every cost
-/// match bit for bit. After an admission the batch has the same live DAG
-/// and the same universe fingerprint set as a fresh build, but the grown
-/// memo numbers its groups in admission order, so universe order and float
-/// summation order can differ. Evolution takes `&mut self`; `run*` calls observe a
-/// consistent compiled snapshot because they run off an immutable
-/// [`EngineState`] published by [`OptimizedBatch::snapshot`] and
-/// revalidated against the memo's version counter.
+/// A batch is the fold of its admissions: a build admits its queries one
+/// at a time, and a retire or rollback re-admits the survivors in ticket
+/// order. So after any evolution history the batch *is* a fresh
+/// [`SessionBuilder::build`] of its live queries in ticket order: group
+/// ids, the shareable universe (ascending by group id), the compiled
+/// arenas, the picks and every cost match bit for bit. Evolution takes
+/// `&mut self`; `run*` calls observe a consistent compiled snapshot
+/// because they run off an immutable [`EngineState`] published by
+/// [`OptimizedBatch::snapshot`] and revalidated against the memo's
+/// version counter.
 ///
 /// Ownership is split three ways (the serving layer is built on exactly
 /// this split): the **batch** is the thin mutable editor, the

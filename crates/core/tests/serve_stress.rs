@@ -3,12 +3,13 @@
 //!
 //! The differential gate: **any** interleaving of concurrent
 //! `submit_query` / `retire_query` / snapshot reads must leave the
-//! service equivalent to a fresh single-threaded `Session::build()` over
-//! the surviving queries — identical `bestCost` values and extracted
-//! plans (modulo group-id numbering), identical universe fingerprint
-//! sets. Workers retire only their own submissions, so the survivor
-//! multiset is interleaving-independent while the admission order, round
-//! coalescing, and writer elections are not.
+//! service bit for bit a fresh single-threaded `Session::build()` of the
+//! surviving queries in the service's ticket order — the universe in
+//! element order, every cost bit, the chosen sets and the rendered plans.
+//! Workers retire only their own submissions, so the survivor set is
+//! interleaving-independent while the admission order, round coalescing,
+//! and writer elections are not; the fresh build follows the ticket order
+//! the interleaving produced.
 //!
 //! Also pinned here: snapshot isolation (a reader holding an old
 //! [`mqo_core::EngineState`] gets bit-identical answers while commits
@@ -23,121 +24,36 @@
 //! `scripts/verify.sh` runs this file under both `MQO_THREADS=1` and
 //! `MQO_THREADS=4`; the engine-side thread sweep below is explicit.
 
+mod common;
+
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use common::{assert_equivalent, build};
 use mqo_core::fault::{self, FaultSite};
-use mqo_core::session::Session;
 use mqo_core::strategies::Strategy;
 use mqo_core::{
-    MqoConfig, MqoError, MqoService, OptimizedBatch, PriorityClass, RunReport, ServeConfig,
+    MqoConfig, MqoError, MqoService, OptimizedBatch, PriorityClass, QueryTicket, RunReport,
+    ServeConfig,
 };
 use mqo_submod::prng::Prng;
-use mqo_volcano::cost::DiskCostModel;
-use mqo_volcano::{DagContext, PlanNode};
+use mqo_volcano::PlanNode;
 
 const THREADS: [usize; 2] = [1, 4];
 
-fn build(ctx: DagContext, queries: &[PlanNode], threads: usize) -> OptimizedBatch {
-    Session::builder()
-        .context(ctx)
-        .queries(queries.iter().cloned())
-        .cost_model(DiskCostModel::paper())
-        .threads(threads)
-        .build()
-}
-
-/// Replaces every `group <digits>` occurrence with `group #`: group ids
-/// are memo-allocation order, which legitimately differs between a served
-/// batch and a fresh build of the same queries.
-fn strip_group_ids(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(pos) = rest.find("group ") {
-        let (head, tail) = rest.split_at(pos + "group ".len());
-        out.push_str(head);
-        let digits = tail.chars().take_while(|c| c.is_ascii_digit()).count();
-        if digits > 0 {
-            out.push('#');
-        }
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// Replaces every `query <digits>` header index with `query #`: admission
-/// order under concurrent submitters is interleaving-dependent, the plan
-/// multiset is not.
-fn strip_query_indices(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(pos) = rest.find("query ") {
-        let (head, tail) = rest.split_at(pos + "query ".len());
-        out.push_str(head);
-        let digits = tail.chars().take_while(|c| c.is_ascii_digit()).count();
-        if digits > 0 {
-            out.push('#');
-        }
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// The id-free signature of one strategy run: exact cost values plus the
-/// normalized plan text. Unlike the single-writer evolution suite, *all*
-/// sections are compared as a sorted multiset: concurrent workers race on
-/// admission order, so query numbering (like group numbering) is an
-/// interleaving artifact — `query 3` here may be `query 5` in the fresh
-/// build — while the multiset of extracted plans is not.
-fn run_signature(batch: &OptimizedBatch, strategy: Strategy) -> (String, Vec<String>) {
-    let r = batch.run(strategy);
-    let rendered = strip_group_ids(&r.plan.render(batch.batch()));
-    let rendered = strip_query_indices(&rendered);
-    let mut sections: Vec<String> = rendered
-        .split("== ")
-        .filter(|part| !part.is_empty())
-        .map(str::to_string)
-        .collect();
-    sections.sort();
-    (
-        format!(
-            "{}: total {:.9e} volcano {:.9e} benefit {:.9e} mats {} queries {}",
-            r.strategy,
-            r.total_cost,
-            r.volcano_cost,
-            r.benefit,
-            r.materialized.len(),
-            r.plan.query_plans.len(),
-        ),
-        sections,
-    )
-}
-
-/// Every observable of the served batch matches the fresh build.
-fn assert_equivalent(served: &OptimizedBatch, fresh: &OptimizedBatch, label: &str) {
-    served.batch().memo().check_consistency();
-    assert_eq!(
-        served.batch().universe_fingerprints(),
-        fresh.batch().universe_fingerprints(),
-        "{label}: universe fingerprint sets diverge"
-    );
-    for strategy in [
-        Strategy::Volcano,
-        Strategy::Greedy,
-        Strategy::MarginalGreedy,
-    ] {
-        let (s_costs, s_plans) = run_signature(served, strategy);
-        let (f_costs, f_plans) = run_signature(fresh, strategy);
-        assert_eq!(s_costs, f_costs, "{label}: cost values diverge");
-        assert_eq!(s_plans, f_plans, "{label}: extracted plans diverge");
-    }
+/// The surviving plans in the service's ticket order: each live ticket of
+/// `served` mapped to the plan it was issued for.
+fn in_ticket_order(
+    served: &OptimizedBatch,
+    plans: &HashMap<QueryTicket, PlanNode>,
+) -> Vec<PlanNode> {
+    served.tickets().iter().map(|t| plans[t].clone()).collect()
 }
 
 /// The differential gate: concurrent submit/retire/read workers, then the
-/// finished batch must match a fresh single-threaded build of the
-/// survivor multiset.
+/// finished batch must be a fresh single-threaded build of the survivors
+/// in ticket order.
 #[test]
 fn concurrent_service_matches_fresh_build_of_survivors() {
     for threads in THREADS {
@@ -146,6 +62,8 @@ fn concurrent_service_matches_fresh_build_of_survivors() {
         assert!(pool.len() >= 4, "BQ4 must provide an add pool");
         let base: Vec<PlanNode> = pool[..2].to_vec();
         let service = build(w.ctx, &base, threads).serve();
+        let mut plans: HashMap<QueryTicket, PlanNode> =
+            service.tickets().into_iter().zip(base).collect();
         let extras: Vec<PlanNode> = pool[2..].to_vec();
         const WORKERS: usize = 4;
 
@@ -153,7 +71,7 @@ fn concurrent_service_matches_fresh_build_of_survivors() {
         // Each worker submits every extra (duplicates across workers are
         // legal — hash-consing shares them) and retires its odd-indexed
         // submissions, so its survivor list is interleaving-independent.
-        let mut per_worker: Vec<Vec<PlanNode>> = Vec::new();
+        let mut per_worker: Vec<Vec<(QueryTicket, PlanNode)>> = Vec::new();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for wid in 0..WORKERS {
@@ -169,7 +87,7 @@ fn concurrent_service_matches_fresh_build_of_survivors() {
                         if k % 2 == 1 {
                             service.retire_query(t);
                         } else {
-                            survivors.push(extras[i].clone());
+                            survivors.push((t, extras[i].clone()));
                         }
                     }
                     survivors
@@ -231,13 +149,10 @@ fn concurrent_service_matches_fresh_build_of_survivors() {
         assert!(stats.rounds >= 1 && stats.rounds <= stats.admitted);
 
         let served = service.finish();
-        let mut survivors = base.clone();
-        for v in per_worker {
-            survivors.extend(v);
-        }
-        assert_eq!(served.tickets().len(), survivors.len());
+        plans.extend(per_worker.into_iter().flatten());
+        assert_eq!(served.tickets().len(), plans.len());
         let w2 = mqo_tpcd::batched(4, 1.0);
-        let fresh = build(w2.ctx, &survivors, 1);
+        let fresh = build(w2.ctx, &in_ticket_order(&served, &plans), 1);
         assert_equivalent(
             &served,
             &fresh,
@@ -446,10 +361,11 @@ fn compaction_leaves_the_memo_untouched() {
 
 /// The chaos differential gate: concurrent submitters under seeded fault
 /// injection (oracle panics and admission-precommit panics, plus
-/// deadline-degraded reads riding along) must leave the service
-/// equivalent to a fresh single-threaded build of the *successful*
-/// survivors — every failed round was rolled back to its entry savepoint
-/// and must leave no trace in the universe, the costs, or the plans.
+/// deadline-degraded reads riding along) must leave the service bit for
+/// bit a fresh single-threaded build of the *successful* survivors in
+/// ticket order — every failed round was rolled back to its entry
+/// savepoint and must leave no trace in the universe, the costs, or the
+/// plans.
 ///
 /// Failpoints are thread-local, so each worker's injections fire only in
 /// rounds that worker itself drives; a failed round also fails whatever
@@ -479,10 +395,12 @@ fn chaos_interleavings_match_fresh_build_of_survivors() {
         fault::disarm_all();
         assert_eq!(r, Err(MqoError::RoundFailed));
         assert_eq!(service.tickets().len(), base.len());
+        let mut plans: HashMap<QueryTicket, PlanNode> =
+            service.tickets().into_iter().zip(base).collect();
 
         const WORKERS: usize = 4;
         const OPS: usize = 8;
-        let mut per_worker: Vec<Vec<PlanNode>> = Vec::new();
+        let mut per_worker: Vec<Vec<(QueryTicket, PlanNode)>> = Vec::new();
         std::thread::scope(|s| {
             let mut handles = Vec::new();
             for wid in 0..WORKERS {
@@ -509,7 +427,7 @@ fn chaos_interleavings_match_fresh_build_of_survivors() {
                                         .try_retire_query(t)
                                         .expect("own live ticket must retire");
                                 } else {
-                                    survivors.push(extras[i].clone());
+                                    survivors.push((t, extras[i].clone()));
                                 }
                             }
                             // Rolled back: the plan left no trace, so it
@@ -541,13 +459,10 @@ fn chaos_interleavings_match_fresh_build_of_survivors() {
         );
 
         let served = service.finish();
-        let mut survivors = base.clone();
-        for v in per_worker {
-            survivors.extend(v);
-        }
-        assert_eq!(served.tickets().len(), survivors.len());
+        plans.extend(per_worker.into_iter().flatten());
+        assert_eq!(served.tickets().len(), plans.len());
         let w2 = mqo_tpcd::batched(4, 1.0);
-        let fresh = build(w2.ctx, &survivors, 1);
+        let fresh = build(w2.ctx, &in_ticket_order(&served, &plans), 1);
         assert_equivalent(&served, &fresh, &format!("BQ4 chaos threads={threads}"));
     }
 }

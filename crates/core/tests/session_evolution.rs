@@ -1,14 +1,11 @@
 //! Differential suite for evolvable sessions: **any** sequence of
 //! `add_query` / `retire_query` / `savepoint` / `rollback` on a live
-//! [`OptimizedBatch`] must leave it equivalent to a fresh
-//! `Session::build()` over the surviving queries — same live
-//! expression/group counts, same shareable universe (compared as the
-//! id-free fingerprint *set*, since an admission-grown memo numbers its
-//! groups in admission order), identical `bestCost` values, and identical
-//! extracted plans (compared with materialized-group ids normalized away).
-//! After a retire or a rollback the batch is rebuilt from its survivors,
-//! so there the comparison is bitwise: the universe in element order, the
-//! chosen set and every cost bit.
+//! [`OptimizedBatch`] must leave it bit for bit a fresh `Session::build()`
+//! of the surviving queries in ticket order — the universe in element
+//! order, every cost bit, the chosen sets and the rendered plans. A batch
+//! is the fold of its admissions, so this holds after every commit,
+//! admissions included, and through an [`MqoService`] as through the
+//! batch.
 //!
 //! Sequences are swept over the TPCD batches BQ3/BQ4, over seeded random
 //! chain workloads (`mqo_tpcd::random`) and over `serve-churn`-shaped
@@ -16,112 +13,22 @@
 //! `scripts/verify.sh` runs the whole file under `MQO_THREADS=1` and
 //! `MQO_THREADS=4` on every tier-1 pass.
 
+mod common;
+
 use std::collections::VecDeque;
 
-use mqo_core::session::Session;
+use common::{assert_equivalent, build, run_bits};
 use mqo_core::strategies::Strategy;
-use mqo_core::{OptimizedBatch, QueryTicket};
+use mqo_core::{BatchSavepoint, MqoService, OptimizedBatch, QueryTicket, RunReport};
 use mqo_submod::prng::Prng;
 use mqo_tpcd::{Shape, WorkloadSpec};
-use mqo_volcano::cost::DiskCostModel;
-use mqo_volcano::{DagContext, PlanNode};
+use mqo_volcano::{DagContext, GroupId, PlanNode};
 
 const THREADS: [usize; 2] = [1, 4];
 
-fn build(ctx: DagContext, queries: &[PlanNode], threads: usize) -> OptimizedBatch {
-    Session::builder()
-        .context(ctx)
-        .queries(queries.iter().cloned())
-        .cost_model(DiskCostModel::paper())
-        .threads(threads)
-        .build()
-}
-
-/// Replaces every `group <digits>` occurrence with `group #`: group ids
-/// are memo-allocation order, which legitimately differs between an
-/// evolved batch and a fresh build of the same queries.
-fn strip_group_ids(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut rest = text;
-    while let Some(pos) = rest.find("group ") {
-        let (head, tail) = rest.split_at(pos + "group ".len());
-        out.push_str(head);
-        let digits = tail.chars().take_while(|c| c.is_ascii_digit()).count();
-        if digits > 0 {
-            out.push('#');
-        }
-        rest = &tail[digits..];
-    }
-    out.push_str(rest);
-    out
-}
-
-/// The id-free signature of one strategy run: exact cost values plus the
-/// normalized plan text (materialization plans as a sorted multiset —
-/// greedy commit order is id-dependent — and query plans in order).
-fn run_signature(batch: &OptimizedBatch, strategy: Strategy) -> (String, Vec<String>) {
-    let r = batch.run(strategy);
-    let rendered = r.plan.render(batch.batch());
-    let mut sections: Vec<String> = Vec::new();
-    let mut mats: Vec<String> = Vec::new();
-    for part in strip_group_ids(&rendered).split("== ") {
-        if part.is_empty() {
-            continue;
-        } else if part.starts_with("materialize") {
-            mats.push(part.to_string());
-        } else {
-            sections.push(part.to_string());
-        }
-    }
-    mats.sort();
-    sections.extend(mats);
-    (
-        format!(
-            "{}: total {:.9e} volcano {:.9e} benefit {:.9e} mats {} queries {}",
-            r.strategy,
-            r.total_cost,
-            r.volcano_cost,
-            r.benefit,
-            r.materialized.len(),
-            r.plan.query_plans.len(),
-        ),
-        sections,
-    )
-}
-
-/// Every observable of the evolved batch matches the fresh build.
-fn assert_equivalent(evolved: &OptimizedBatch, fresh: &OptimizedBatch, label: &str) {
-    evolved.batch().memo().check_consistency();
-    assert_eq!(
-        evolved.batch().memo().n_exprs(),
-        fresh.batch().memo().n_exprs(),
-        "{label}: live expression counts diverge"
-    );
-    assert_eq!(
-        evolved.batch().memo().n_groups(),
-        fresh.batch().memo().n_groups(),
-        "{label}: live group counts diverge"
-    );
-    assert_eq!(
-        evolved.batch().universe_fingerprints(),
-        fresh.batch().universe_fingerprints(),
-        "{label}: universe fingerprint sets diverge"
-    );
-    for strategy in [
-        Strategy::Volcano,
-        Strategy::Greedy,
-        Strategy::MarginalGreedy,
-    ] {
-        let (e_costs, e_plans) = run_signature(evolved, strategy);
-        let (f_costs, f_plans) = run_signature(fresh, strategy);
-        assert_eq!(e_costs, f_costs, "{label}: cost values diverge");
-        assert_eq!(e_plans, f_plans, "{label}: extracted plans diverge");
-    }
-}
-
 /// Drives `steps` random evolution operations (add / retire /
-/// savepoint+rollback) against `batch`, mirroring the survivor list in
-/// `live`, then checks equivalence against a fresh build of the survivors.
+/// savepoint+rollback) against `batch`, mirroring the survivors in ticket
+/// order in `live`, then checks equivalence against a fresh build of them.
 fn sweep_sequence(
     make: impl Fn() -> (DagContext, Vec<PlanNode>),
     rng: &mut Prng,
@@ -222,14 +129,14 @@ fn retiring_a_fully_shared_query_keeps_the_universe() {
     let w = mqo_tpcd::batched(4, 1.0);
     let dup = w.queries[0].clone();
     let mut batch = build(w.ctx, &w.queries, 1);
-    let slots_before = batch.batch().universe_fingerprints();
+    let before = batch.batch().shareable().to_vec();
     // Admit an exact duplicate of query 0, then retire it: the duplicate
     // shares every group with the original.
     let t = batch.add_query(dup);
     batch.retire_query(t);
     assert_eq!(
-        batch.batch().universe_fingerprints(),
-        slots_before,
+        batch.batch().shareable(),
+        before,
         "retiring a duplicate must not change the live universe"
     );
     let w2 = mqo_tpcd::batched(4, 1.0);
@@ -249,7 +156,7 @@ fn add_after_rollback_replays_cleanly() {
 
     let sp = batch.savepoint();
     let t1 = batch.add_query(extra.clone());
-    let after_first = batch.batch().universe_fingerprints();
+    let after_first = batch.batch().shareable().to_vec();
     batch.rollback(sp);
     assert!(
         !batch.batch().is_live(t1),
@@ -258,7 +165,7 @@ fn add_after_rollback_replays_cleanly() {
     let t2 = batch.add_query(extra);
     assert!(batch.batch().is_live(t2));
     assert_eq!(
-        batch.batch().universe_fingerprints(),
+        batch.batch().shareable(),
         after_first,
         "re-adding after rollback must land on the same universe"
     );
@@ -300,64 +207,71 @@ fn long_evolution_sequence_stays_equivalent() {
     assert_equivalent(&batch, &fresh, "40-round add/retire rotation");
 }
 
-/// Asserts the universe is strictly ascending by group id — the memo's
-/// shareable set as every commit recounts it.
-fn assert_ascending(batch: &OptimizedBatch, label: &str) {
-    let universe = batch.batch().shareable();
-    assert!(
-        universe.windows(2).all(|w| w[0] < w[1]),
-        "{label}: the universe is not strictly ascending"
-    );
+/// A live batch the churn history writes to: an [`OptimizedBatch`] or an
+/// [`MqoService`] over one.
+trait Writer {
+    fn add(&mut self, q: PlanNode) -> QueryTicket;
+    fn retire(&mut self, t: QueryTicket);
+    fn savepoint(&self) -> BatchSavepoint;
+    fn rollback(&mut self, sp: BatchSavepoint);
+    /// The universe and MarginalGreedy's report of the current commit.
+    fn observe(&self) -> (Vec<GroupId>, RunReport);
+    fn finish(self) -> OptimizedBatch;
 }
 
-/// Asserts that `batch` is bit for bit a fresh build of `survivors`: the
-/// universe in element order, MarginalGreedy's chosen set, its
-/// `total_cost` bits and its extracted plan's `total_cost` bits.
-fn assert_fresh(
-    batch: &OptimizedBatch,
-    make: &impl Fn() -> (DagContext, Vec<PlanNode>),
-    survivors: &[PlanNode],
-    threads: usize,
-    label: &str,
-) {
-    let fresh = build(make().0, survivors, threads);
-    assert_eq!(
-        batch.batch().shareable(),
-        fresh.batch().shareable(),
-        "{label}: universe differs from a fresh build of the survivors"
-    );
-    let (e, f) = (
-        batch.run(Strategy::MarginalGreedy),
-        fresh.run(Strategy::MarginalGreedy),
-    );
-    assert_eq!(
-        e.materialized, f.materialized,
-        "{label}: chosen sets differ"
-    );
-    assert_eq!(
-        e.total_cost.to_bits(),
-        f.total_cost.to_bits(),
-        "{label}: total_cost {} vs fresh {}",
-        e.total_cost,
-        f.total_cost
-    );
-    assert_eq!(
-        e.plan.total_cost.to_bits(),
-        f.plan.total_cost.to_bits(),
-        "{label}: plan total_cost {} vs fresh {}",
-        e.plan.total_cost,
-        f.plan.total_cost
-    );
+impl Writer for OptimizedBatch {
+    fn add(&mut self, q: PlanNode) -> QueryTicket {
+        self.add_query(q)
+    }
+    fn retire(&mut self, t: QueryTicket) {
+        self.retire_query(t)
+    }
+    fn savepoint(&self) -> BatchSavepoint {
+        OptimizedBatch::savepoint(self)
+    }
+    fn rollback(&mut self, sp: BatchSavepoint) {
+        OptimizedBatch::rollback(self, sp)
+    }
+    fn observe(&self) -> (Vec<GroupId>, RunReport) {
+        let r = self.run(Strategy::MarginalGreedy);
+        (self.batch().shareable().to_vec(), r)
+    }
+    fn finish(self) -> OptimizedBatch {
+        self
+    }
+}
+
+impl Writer for MqoService {
+    fn add(&mut self, q: PlanNode) -> QueryTicket {
+        self.try_submit_query(q).expect("admission")
+    }
+    fn retire(&mut self, t: QueryTicket) {
+        self.try_retire_query(t).expect("retire")
+    }
+    fn savepoint(&self) -> BatchSavepoint {
+        MqoService::savepoint(self)
+    }
+    fn rollback(&mut self, sp: BatchSavepoint) {
+        self.try_rollback(sp).expect("rollback")
+    }
+    fn observe(&self) -> (Vec<GroupId>, RunReport) {
+        let r = self.run_with(Strategy::MarginalGreedy);
+        (self.snapshot().shareable().to_vec(), r)
+    }
+    fn finish(self) -> OptimizedBatch {
+        MqoService::finish(self)
+    }
 }
 
 /// A `serve-churn`-style write history on `base` initial queries: admit
 /// `arrivals` pool queries, then `rounds` times roll back a speculative
 /// admission, retire the oldest arrival (its plan returns to the pool)
-/// and admit the next pool query. After every retire and rollback the
-/// batch must be bitwise a fresh build of its survivors, and after every
-/// commit its universe must be ascending.
-fn churn_sequence(
+/// and admit the next pool query. After every commit the universe,
+/// MarginalGreedy's chosen set and its cost bits must be a fresh build's
+/// of the survivors in ticket order; at the end the whole batch must be.
+fn churn_sequence<W: Writer>(
     make: impl Fn() -> (DagContext, Vec<PlanNode>),
+    start: impl FnOnce(OptimizedBatch) -> W,
     base: usize,
     arrivals: usize,
     rounds: usize,
@@ -365,71 +279,102 @@ fn churn_sequence(
     label: &str,
 ) {
     let (ctx, queries) = make();
-    let mut batch = build(ctx, &queries[..base], threads);
-    assert_ascending(&batch, label);
+    let mut writer = start(build(ctx, &queries[..base], threads));
     let mut pool: VecDeque<PlanNode> = queries[base..].iter().cloned().collect();
+    // The live arrivals in ticket order; they follow the base queries.
     let mut live: VecDeque<(QueryTicket, PlanNode)> = VecDeque::new();
-    let survivors = |live: &VecDeque<(QueryTicket, PlanNode)>| {
-        let mut v = queries[..base].to_vec();
-        v.extend(live.iter().map(|(_, q)| q.clone()));
-        v
+    let fresh = |live: &VecDeque<(QueryTicket, PlanNode)>| {
+        let mut survivors = queries[..base].to_vec();
+        survivors.extend(live.iter().map(|(_, q)| q.clone()));
+        build(make().0, &survivors, threads)
     };
+    let check = |writer: &W, live: &VecDeque<(QueryTicket, PlanNode)>, step: &str| {
+        let (universe, r) = writer.observe();
+        let fresh = fresh(live);
+        assert_eq!(
+            universe,
+            fresh.batch().shareable(),
+            "{label} {step}: universe differs from a fresh build of the survivors"
+        );
+        assert_eq!(
+            run_bits(&r),
+            run_bits(&fresh.run(Strategy::MarginalGreedy)),
+            "{label} {step}: MarginalGreedy differs from a fresh build of the survivors"
+        );
+    };
+    check(&writer, &live, "build");
     for i in 0..arrivals {
         let q = pool.pop_front().expect("pool query");
-        live.push_back((batch.add_query(q.clone()), q));
-        assert_ascending(&batch, &format!("{label} add {i}"));
+        live.push_back((writer.add(q.clone()), q));
+        check(&writer, &live, &format!("add {i}"));
     }
     for round in 0..rounds {
-        let sp = batch.savepoint();
-        batch.add_query(pool[0].clone());
-        assert_ascending(&batch, &format!("{label} speculative add {round}"));
-        batch.rollback(sp);
-        let step = format!("{label} rollback {round}");
-        assert_ascending(&batch, &step);
-        assert_fresh(&batch, &make, &survivors(&live), threads, &step);
+        let sp = writer.savepoint();
+        let q = pool[0].clone();
+        live.push_back((writer.add(q.clone()), q));
+        check(&writer, &live, &format!("speculative add {round}"));
+        writer.rollback(sp);
+        live.pop_back();
+        check(&writer, &live, &format!("rollback {round}"));
 
         let (t, q) = live.pop_front().expect("live arrival");
-        batch.retire_query(t);
+        writer.retire(t);
         pool.push_back(q);
-        let step = format!("{label} retire {round}");
-        assert_ascending(&batch, &step);
-        assert_fresh(&batch, &make, &survivors(&live), threads, &step);
+        check(&writer, &live, &format!("retire {round}"));
 
         let q = pool.pop_front().expect("pool query");
-        live.push_back((batch.add_query(q.clone()), q));
-        assert_ascending(&batch, &format!("{label} add {}", arrivals + round));
+        live.push_back((writer.add(q.clone()), q));
+        check(&writer, &live, &format!("add {}", arrivals + round));
     }
+    assert_equivalent(&writer.finish(), &fresh(&live), label);
 }
 
-/// A retired or rolled-back batch is a fresh build of its survivors, bit
-/// for bit, whatever admissions came before: on BQ3, BQ4 and
-/// `serve-churn`-shaped chain tenants (48 tables, 24 base queries, an
+/// A `serve-churn` tenant at `seed`: a 48-table chain workload with 24
+/// base queries and a 40-query pool.
+fn churn_tenant(seed: u64) -> (DagContext, Vec<PlanNode>) {
+    let w = mqo_tpcd::generate(&WorkloadSpec {
+        shape: Shape::Chain,
+        tables: 48,
+        queries: 24 + 40,
+        span: (6, 9),
+        overlap: 0.3,
+        select_prob: 0.35,
+        base_rows: 500.0,
+        seed,
+    });
+    (w.ctx, w.queries)
+}
+
+/// Every commit — admission, speculative admission, rollback and retire —
+/// leaves the batch a fresh build of its survivors in ticket order, bit
+/// for bit: on BQ3, BQ4 and `serve-churn`-shaped chain tenants (an
 /// 8-arrival rotation) at seeds 3, 6, 7 and 1009.
 #[test]
-fn retire_and_rollback_are_fresh_builds_of_the_survivors() {
+fn every_commit_is_a_fresh_build_of_the_survivors() {
     for threads in THREADS {
         for i in [3usize, 4] {
             let make = || {
                 let w = mqo_tpcd::batched(i, 1.0);
                 (w.ctx, w.queries)
             };
-            churn_sequence(make, 2, 2, 3, threads, &format!("BQ{i}@{threads}"));
+            churn_sequence(make, |b| b, 2, 2, 3, threads, &format!("BQ{i}@{threads}"));
         }
         for seed in [3u64, 6, 7, 1009] {
-            let make = || {
-                let w = mqo_tpcd::generate(&WorkloadSpec {
-                    shape: Shape::Chain,
-                    tables: 48,
-                    queries: 24 + 40,
-                    span: (6, 9),
-                    overlap: 0.3,
-                    select_prob: 0.35,
-                    base_rows: 500.0,
-                    seed,
-                });
-                (w.ctx, w.queries)
-            };
-            churn_sequence(make, 24, 8, 3, threads, &format!("churn {seed}@{threads}"));
+            let make = || churn_tenant(seed);
+            let label = format!("churn {seed}@{threads}");
+            churn_sequence(make, |b| b, 24, 8, 3, threads, &label);
         }
+    }
+}
+
+/// The same history driven through an [`MqoService`]: its published
+/// snapshot after every commit, and the batch `finish` hands back, are a
+/// fresh build of the survivors in ticket order.
+#[test]
+fn every_service_commit_is_a_fresh_build_of_the_survivors() {
+    for threads in THREADS {
+        let make = || churn_tenant(7);
+        let label = format!("service churn 7@{threads}");
+        churn_sequence(make, OptimizedBatch::serve, 24, 8, 3, threads, &label);
     }
 }

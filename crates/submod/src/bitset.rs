@@ -24,12 +24,11 @@
 //! sets span 157+ words) are set *comparisons*, not mutations: the rebase
 //! decision of the incremental `bestCost` oracle measures `|A △ B|`
 //! against a threshold, and greedy argmax rounds compare candidate sets
-//! against a shared base. The fused kernels ([`BitSet::intersection_len`],
-//! [`BitSet::union_len`], [`BitSet::difference_len`],
-//! [`BitSet::symmetric_difference_len`],
-//! [`BitSet::symmetric_difference_len_capped`], [`BitSet::is_disjoint`])
-//! combine the word-wise operation with the popcount in one pass — no
-//! intermediate set, no allocation — and [`BitSet::is_subset`] and the
+//! against a shared base. The fused kernels
+//! ([`BitSet::symmetric_difference_len`] and
+//! [`BitSet::symmetric_difference_len_capped`]) combine the word-wise
+//! operation with the popcount in one pass — no intermediate set, no
+//! allocation — and [`BitSet::is_subset`] and the
 //! symmetric-difference iterator process 4-word blocks so sparse diffs
 //! skip equal regions at memory-bandwidth speed.
 
@@ -109,11 +108,6 @@ impl BitSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Whether the set equals the whole universe.
-    pub fn is_full(&self) -> bool {
-        self.len() == self.universe
     }
 
     /// Tests membership of `e`.
@@ -236,39 +230,6 @@ impl BitSet {
         }
     }
 
-    /// `|self ∩ other|` without materializing the intersection: fused
-    /// AND + popcount per word.
-    pub fn intersection_len(&self, other: &Self) -> usize {
-        self.check_same_universe(other);
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `|self ∪ other|` without materializing the union: fused OR +
-    /// popcount per word.
-    pub fn union_len(&self, other: &Self) -> usize {
-        self.check_same_universe(other);
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
-    }
-
-    /// `|self \ other|` without materializing the difference: fused
-    /// AND-NOT + popcount per word.
-    pub fn difference_len(&self, other: &Self) -> usize {
-        self.check_same_universe(other);
-        self.words
-            .iter()
-            .zip(other.words.iter())
-            .map(|(a, b)| (a & !b).count_ones() as usize)
-            .sum()
-    }
-
     /// `|self △ other|` without materializing either difference: fused
     /// XOR + popcount per word.
     pub fn symmetric_difference_len(&self, other: &Self) -> usize {
@@ -307,21 +268,6 @@ impl BitSet {
             }
         }
         count
-    }
-
-    /// Whether `self ∩ other = ∅`, blocked with an early exit at the first
-    /// overlapping 4-word chunk.
-    pub fn is_disjoint(&self, other: &Self) -> bool {
-        self.check_same_universe(other);
-        let (a_blocks, a_tail) = as_blocks(&self.words);
-        let (b_blocks, b_tail) = as_blocks(&other.words);
-        for (a, b) in a_blocks.zip(b_blocks) {
-            let overlap = (a[0] & b[0]) | (a[1] & b[1]) | (a[2] & b[2]) | (a[3] & b[3]);
-            if overlap != 0 {
-                return false;
-            }
-        }
-        a_tail.iter().zip(b_tail).all(|(a, b)| a & b == 0)
     }
 
     /// Returns `self ∪ other`.
@@ -507,7 +453,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.len(), 0);
         let f = BitSet::full(10);
-        assert!(f.is_full());
         assert_eq!(f.len(), 10);
         assert_eq!(f.complement(), e);
         assert_eq!(e.complement(), f);
@@ -574,7 +519,6 @@ mod tests {
     fn zero_universe() {
         let s = BitSet::empty(0);
         assert!(s.is_empty());
-        assert!(s.is_full());
         assert_eq!(s.iter().count(), 0);
         assert_eq!(BitSet::full(0), s);
     }
@@ -699,12 +643,8 @@ mod tests {
             let universe = SWEEP_UNIVERSES[rng.gen_range(0..SWEEP_UNIVERSES.len())];
             let a = random_set(rng, universe);
             let b = random_set(rng, universe);
-            assert_eq!(a.intersection_len(&b), a.intersection(&b).len());
-            assert_eq!(a.union_len(&b), a.union(&b).len());
-            assert_eq!(a.difference_len(&b), a.difference(&b).len());
             let sym = a.difference(&b).union(&b.difference(&a)).len();
             assert_eq!(a.symmetric_difference_len(&b), sym);
-            assert_eq!(a.is_disjoint(&b), a.intersection(&b).is_empty());
         });
     }
 
@@ -764,7 +704,6 @@ mod tests {
     fn exact_word_boundary_universe() {
         let f = BitSet::full(64);
         assert_eq!(f.len(), 64);
-        assert!(f.is_full());
         let c = f.complement();
         assert!(c.is_empty());
     }
@@ -799,7 +738,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "universe mismatch")]
     fn cross_universe_fused_len_panics() {
-        let _ = BitSet::empty(64).intersection_len(&BitSet::empty(128));
+        let _ = BitSet::empty(64).symmetric_difference_len(&BitSet::empty(128));
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl RuleSet {
 }
 
 /// Statistics of one expansion run.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExpansionStats {
     /// Fixpoint rounds (frontier generations) until quiescence.
     pub passes: usize,
@@ -191,9 +191,8 @@ pub fn fan_out<T: Sync, O: Send, S: Send>(
 
 /// Expands the memo to fixpoint under `rules` with serial candidate
 /// generation. The resulting memo is bit-identical to any parallel
-/// [`expand_with`] run; callers wanting the fan-out (e.g. `mqo-core`'s
-/// `Session`) pass an explicit thread count instead of an environment
-/// read.
+/// [`expand_with`] run; callers wanting the fan-out pass an explicit
+/// thread count instead of an environment read.
 pub fn expand(memo: &mut Memo, rules: &RuleSet) -> ExpansionStats {
     expand_with(memo, rules, 1)
 }
@@ -201,6 +200,9 @@ pub fn expand(memo: &mut Memo, rules: &RuleSet) -> ExpansionStats {
 /// Expands the memo to fixpoint under `rules` with an explicit worker
 /// count for the candidate-generation phase. The resulting memo is
 /// bit-identical at every `threads` value; only the wall-clock changes.
+/// It reaches the same live expressions and groups as [`expand_seeded`]
+/// folded over the queries one at a time, but numbers the groups
+/// differently; `mqo-core` builds every batch by that fold.
 pub fn expand_with(memo: &mut Memo, rules: &RuleSet, threads: usize) -> ExpansionStats {
     // Round 1 processes every live expression; later rounds only what the
     // change log implicates.
@@ -209,9 +211,10 @@ pub fn expand_with(memo: &mut Memo, rules: &RuleSet, threads: usize) -> Expansio
 }
 
 /// Expands the memo to fixpoint under `rules`, seeding the first round
-/// with `seeds` instead of every live expression. This is the incremental
-/// entry point for batch evolution: after `insert_plan` of a new query
-/// into an already-expanded memo, only the freshly interned expressions
+/// with `seeds` instead of every live expression. This is `mqo-core`'s
+/// batch admission step, which builds, grows and rebuilds every batch:
+/// after `insert_plan` of a new query into an already-expanded (or empty)
+/// memo, only the freshly interned expressions
 /// need processing — expansion is idempotent over the old ones, and any
 /// merge a seed triggers pulls the implicated old expressions into later
 /// rounds through the change log (while pairwise subsumption pairs new
