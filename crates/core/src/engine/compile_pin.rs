@@ -94,52 +94,51 @@ fn build(ctx: DagContext, queries: &[PlanNode], threads: usize) -> BatchDag {
 
 /// The TPCD workloads: BQ1–BQ6, then Q2, Q2-D, Q11 and Q15.
 const TPCD: [(&str, u64); 10] = [
-    ("BQ1", 0x2772395c8c995942),
-    ("BQ2", 0x6c4d3b0469e5e4e9),
-    ("BQ3", 0xda8dcb21b56b8382),
-    ("BQ4", 0xc9dc0c8020c4d688),
-    ("BQ5", 0xc0dc71237ffd681f),
-    ("BQ6", 0xfc9dbf37cdab4035),
+    ("BQ1", 0x185d50c871627d34),
+    ("BQ2", 0xbc5a7e171a96a494),
+    ("BQ3", 0x4994749f230226f0),
+    ("BQ4", 0xcf3901d8f2c4ece8),
+    ("BQ5", 0xbf07ca2380290d4b),
+    ("BQ6", 0x5ca88ee23b561ac4),
     ("Q2", 0x723c258a793cdb85),
-    ("Q2-D", 0xb4a41e88224439cb),
+    ("Q2-D", 0x1cf7376701952b5c),
     ("Q11", 0x9c32a62a88aca608),
     ("Q15", 0x6a5ba0b7814491b1),
 ];
 
 /// Batch `i` of a `batch-stream`-shaped run at seed 7.
 const STREAM: [u64; 8] = [
-    0x850e9d407907cc63,
-    0x1daa636363ce5af7,
-    0x08ff4fc476e66a43,
-    0xd6485a7d4904223b,
-    0x88edf289a4cf51ed,
-    0x0e68ec7c09d6eab8,
-    0x4c085688e4194ca8,
-    0xff8736e90b24659a,
+    0xbc570881347ed375,
+    0x3676b67de9d71db7,
+    0x56ea066851cba016,
+    0xf854f49d5c7981aa,
+    0x91a6a519ff251d9b,
+    0xc0dc49cfba645165,
+    0x6eeb382f0f8b08e9,
+    0x68088cb35fe4ccc2,
 ];
 
 /// The arena digest after each step of the churn sequence, so a drift
-/// names the step that moved. The steps after the first admission were
-/// recorded with the universe as the memo's shareable set ascending by
-/// group id, which is a fresh build's order.
+/// names the step that moved. Each was recorded from a batch built by
+/// admitting the step's live queries one at a time in ticket order.
 const CHURN: [(&str, u64); 17] = [
-    ("build", 0x3d1960541b43778a),
-    ("add 0", 0x7e4f4695e373444f),
-    ("add 1", 0x1c35500a6fbda78f),
-    ("add 2", 0x9e9a632c5edd45f6),
-    ("add 3", 0xcd5388cb4adb93d7),
-    ("add 4", 0xf65b78b37b5c918a),
-    ("add 5", 0xd05920ffb92bad28),
-    ("add 6", 0x7fcbfc1753c41218),
-    ("add 7", 0xbb10e2ecab6db9c0),
-    ("retire 0", 0xb194bd4d2d94558c),
-    ("add 8", 0x1842d2576a275280),
-    ("retire 1", 0x3e91cbbd511fdb42),
-    ("add 9", 0x1833685b96608b37),
-    ("retire 2", 0xfa430816529b01e3),
-    ("add 10", 0x513e662825583303),
-    ("retire 3", 0x7f191240cd796167),
-    ("add 11", 0xd7e27b3f180678c1),
+    ("build", 0x2552adee6ffdfbfa),
+    ("add 0", 0x750400d405afbb36),
+    ("add 1", 0x2f8ea917f6b0d264),
+    ("add 2", 0xc3be777e5a9f5c3f),
+    ("add 3", 0x958c4fa5fa920dc1),
+    ("add 4", 0x8619eeb32503b1c6),
+    ("add 5", 0x5b273f02bc6b7625),
+    ("add 6", 0xe06adcf28b65a401),
+    ("add 7", 0x5b91f541c82b5911),
+    ("retire 0", 0xf5a0be444774fe8c),
+    ("add 8", 0xdfd95211f6790609),
+    ("retire 1", 0x676dd90e1b366f1d),
+    ("add 9", 0x53806a40610037b0),
+    ("retire 2", 0xe6a83080541e4276),
+    ("add 10", 0x7bb02e0b2d2e4f29),
+    ("retire 3", 0x34b0322652e964be),
+    ("add 11", 0x0657394b71c1deef),
 ];
 
 /// `batch-stream`'s spec for batch `i` of a run at seed 7: shape

@@ -4,13 +4,14 @@
 //! chain workload (48 tables, 24 base queries plus a 40-query pool, spans
 //! 6–9, overlap 0.3). After every operation one FNV-1a digest absorbs:
 //! the shareable group ids and their fingerprints in element order, the
-//! live tickets, `history_len`, the cumulative expansion counts, and
-//! MarginalGreedy's `total_cost` bits and materialized groups. Each step
-//! keeps its own digest, so a drift names the operation that moved. The
-//! digests must match at threads 1 and 4, so however the universe is
-//! recomputed after a commit, its element order and the plans it yields
-//! stay put. The universe is the memo's shareable set ascending by group
-//! id; the steps after the first admission were recorded with it.
+//! live tickets, `history_len`, the expansion counts, and MarginalGreedy's
+//! `total_cost` bits and materialized groups. Each step keeps its own
+//! digest, so a drift names the operation that moved. The digests must
+//! match at threads 1 and 4, so however the universe is recomputed after a
+//! commit, its element order and the plans it yields stay put. Every
+//! memo-derived part of a step's digest was recorded from a batch built by
+//! admitting the step's live queries one at a time in ticket order, so a
+//! rollback step digests exactly as the step before its speculative add.
 
 use std::hash::{Hash, Hasher};
 
@@ -30,19 +31,19 @@ const PINNED: [Pin; 3] = [
     (
         "BQ3",
         &[
-            ("0 build", 0xeb5ab5a692f5b324),
-            ("1 add", 0x1a58ccde8c5d8346),
-            ("2 retire", 0x22f95b234ab5f2aa),
-            ("3 speculative add", 0x2978a8dfce013092),
-            ("4 rollback", 0xd6b01675d9b44ca0),
-            ("5 add", 0x74afe981d58c916a),
-            ("6 retire", 0x2fa3359dc0bb6bf5),
-            ("7 compact", 0x7b1ff6ea3e7179c3),
-            ("8 retire", 0x5f9f8e09c695694e),
-            ("9 add", 0x22f171c5a91747c1),
-            ("10 add", 0x4779499e60781081),
-            ("11 add", 0xe01b96ef96d1ab8f),
-            ("12 add", 0x636cce28b6df1442),
+            ("0 build", 0x6d6d6e7ae9d6d2fd),
+            ("1 add", 0x9c7a7f2b18aa29b3),
+            ("2 retire", 0xa8b8f1c73181717c),
+            ("3 speculative add", 0xbf020ac7e6a772f7),
+            ("4 rollback", 0xa8b8f1c73181717c),
+            ("5 add", 0x816bf02c87fc0044),
+            ("6 retire", 0xb1c9a88b1e8ff2bb),
+            ("7 compact", 0x6d6d6e7ae9d6d2fd),
+            ("8 retire", 0x7a56aaca9177095f),
+            ("9 add", 0xd2c70cab072eac40),
+            ("10 add", 0x576bd822ad98c6d6),
+            ("11 add", 0xbed2b0d13384b41a),
+            ("12 add", 0x414ed7b8ac113ef9),
         ],
         49,
         6,
@@ -50,22 +51,22 @@ const PINNED: [Pin; 3] = [
     (
         "BQ4",
         &[
-            ("0 build", 0xeb5ab5a692f5b324),
-            ("1 speculative add", 0x7cb1f343f45e214d),
-            ("2 rollback", 0xf488d654cd8c933b),
-            ("3 add", 0x8fe4ba8640cf2634),
-            ("4 retire", 0x0fc2c0180666b0a0),
-            ("5 speculative add", 0x08f4c55f173f1492),
-            ("6 rollback", 0x888e0caf16945129),
-            ("7 add", 0xf9ce9f14936af068),
-            ("8 compact", 0xe4c209a50e1468ef),
-            ("9 speculative add", 0x04b5991fc1cc9723),
-            ("10 rollback", 0x3aa8779d971902e6),
-            ("11 speculative add", 0x51c2a0d913f5bb94),
-            ("12 rollback", 0x1079fb63833246db),
-            ("13 add", 0x6dc6821760963cd2),
-            ("14 add", 0x6ffe7e360cbb584b),
-            ("15 retire", 0x47c79364e5f4eaa5),
+            ("0 build", 0x6d6d6e7ae9d6d2fd),
+            ("1 speculative add", 0x56478d40c6784872),
+            ("2 rollback", 0x6d6d6e7ae9d6d2fd),
+            ("3 add", 0x9c7a7f2b18aa29b3),
+            ("4 retire", 0x643d0f17a6a111b4),
+            ("5 speculative add", 0x3f18e55bab5f4baa),
+            ("6 rollback", 0x643d0f17a6a111b4),
+            ("7 add", 0x2196a67688282a57),
+            ("8 compact", 0x62166fdca461ed14),
+            ("9 speculative add", 0xe3344a0e557ae98d),
+            ("10 rollback", 0x62166fdca461ed14),
+            ("11 speculative add", 0x651827fd9ca1f6c0),
+            ("12 rollback", 0x62166fdca461ed14),
+            ("13 add", 0x158cf332c3fd3eec),
+            ("14 add", 0x77a42a630bffc7f7),
+            ("15 retire", 0x1c9060668de29c0d),
         ],
         58,
         5,
@@ -73,31 +74,31 @@ const PINNED: [Pin; 3] = [
     (
         "serve-churn",
         &[
-            ("0 build", 0xe77ff7ad4eef7226),
-            ("1 speculative add", 0x7091cef70115f599),
-            ("2 rollback", 0x7ef899378678efc2),
-            ("3 speculative add", 0xd84c164a78e8a192),
-            ("4 rollback", 0xfb900cee601fcacd),
-            ("5 add", 0x517b3b0d41f55383),
-            ("6 retire", 0x6718a2ab489faf00),
-            ("7 speculative add", 0xd41a15558ad142fe),
-            ("8 rollback", 0x12051d7b98051646),
-            ("9 retire", 0x5e896f6eab690986),
-            ("10 speculative add", 0x29b4359a43419003),
-            ("11 rollback", 0xad59bfabc1267f2d),
-            ("12 add", 0xc0a779e4ba46ee1d),
-            ("13 compact", 0xc57a6287e0c611ff),
-            ("14 add", 0x3bf9be0d5cd6c9c4),
-            ("15 speculative add", 0xee0e481e9d576605),
-            ("16 rollback", 0x2a616add46d719a0),
-            ("17 add", 0x8ed1d5776f18ed74),
-            ("18 retire", 0xe30502522a82b86d),
-            ("19 speculative add", 0x8ea3063eb7155c01),
-            ("20 rollback", 0x08ffbb17a751ab22),
-            ("21 add", 0xd15920790fe436fd),
-            ("22 add", 0xf2e432d2964e4625),
-            ("23 speculative add", 0xb7d50225c7ec980e),
-            ("24 rollback", 0x7ab09b6eb8a580c0),
+            ("0 build", 0x717d2467f2e29eb5),
+            ("1 speculative add", 0xf590c4b727f1d09f),
+            ("2 rollback", 0x717d2467f2e29eb5),
+            ("3 speculative add", 0x0921e93c936cfc65),
+            ("4 rollback", 0x717d2467f2e29eb5),
+            ("5 add", 0x65f8087002e0f05c),
+            ("6 retire", 0xf91abe80ade99651),
+            ("7 speculative add", 0x2e4abf3a443f3ad0),
+            ("8 rollback", 0xf91abe80ade99651),
+            ("9 retire", 0xb6a9631546cd02fc),
+            ("10 speculative add", 0x36c0df120d501712),
+            ("11 rollback", 0xb6a9631546cd02fc),
+            ("12 add", 0x31b16a90493bf4fa),
+            ("13 compact", 0xd493a3f642c00298),
+            ("14 add", 0x5adb12d0103bc8b2),
+            ("15 speculative add", 0x5f473698aad6ddb3),
+            ("16 rollback", 0x5adb12d0103bc8b2),
+            ("17 add", 0xabfd23275e9a6e82),
+            ("18 retire", 0x55af121046706b67),
+            ("19 speculative add", 0xd51235c7726bb538),
+            ("20 rollback", 0x55af121046706b67),
+            ("21 add", 0x845567ad44b6d0ce),
+            ("22 add", 0xf463ae61876f1697),
+            ("23 speculative add", 0xfaacc029d5f65663),
+            ("24 rollback", 0xf463ae61876f1697),
         ],
         528,
         28,

@@ -18,16 +18,16 @@ use mqo_volcano::cost::DiskCostModel;
 /// `chain-40` is a generated 40-query chain batch with 16 picks.
 const PINNED: [(&str, u64, usize, u64, u64); 11] = [
     ("BQ1", 0xbd1c92e0914da6aa, 0, 7, 8),
-    ("BQ2", 0xf38e46828d2d007a, 1, 39, 41),
-    ("BQ3", 0x6699977f2ac595e1, 2, 66, 71),
-    ("BQ4", 0xd683222fae265ee1, 2, 121, 134),
-    ("BQ5", 0x107a404d09cdd451, 2, 149, 168),
-    ("BQ6", 0x4fa29db388e67223, 4, 175, 196),
+    ("BQ2", 0xb7a83c2964319e72, 1, 39, 41),
+    ("BQ3", 0xe1724f1c0035a5b9, 2, 66, 71),
+    ("BQ4", 0xc03b9c3093431215, 2, 121, 134),
+    ("BQ5", 0x9075fd02bb8293b5, 2, 149, 168),
+    ("BQ6", 0x1f2a4897fad547bb, 4, 175, 196),
     ("Q2", 0x54a06807e7555ac1, 0, 19, 23),
     ("Q2-D", 0x97062144c66be3c0, 0, 19, 23),
     ("Q11", 0xe17846333c5e1f03, 1, 4, 6),
     ("Q15", 0xaf89a3a47f22cb36, 0, 3, 5),
-    ("chain-40", 0x5d092839ae49f3cc, 16, 522, 542),
+    ("chain-40", 0x0ddd8ef309e1a7f4, 16, 522, 542),
 ];
 
 #[test]
